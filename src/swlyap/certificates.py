@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import DatkoCertificate, DecayBound, GrowthBound, NormEquivalence
-from .errors import ContractViolation, EstimationError
+from .errors import ContractViolation, EstimationError, SwlyapError
 from .lyapunov import default_derivative_grid, generalized_derivative
 from .state_space import state_norm
 from .switching import SignalFamily, SwitchedSystem, enumerate_family, evolve
@@ -272,8 +272,9 @@ def condition_report(
 
     ``v`` maps states to functional values.  Per sample the report records
     the ratio v / ||x||^2 and whether every mode's difference quotient stays
-    below -||x||^2 (1 - kappa_tol).  Evaluator failures are recorded per
-    sample rather than aborting the sweep.
+    below -||x||^2 (1 - kappa_tol).  Library errors raised by the evaluator
+    are recorded per sample rather than aborting the sweep; any other
+    exception is a bug and propagates.
     """
     if not samples:
         raise ContractViolation("need at least one sample state")
@@ -299,7 +300,7 @@ def condition_report(
             report.samples.append(SampleCheck(n2, val, val / n2, ok, tuple(dvals)))
             ratios.append(val / n2)
             deriv_all_ok = deriv_all_ok and ok
-        except Exception as exc:  # recorded, not fatal
+        except SwlyapError as exc:  # recorded, not fatal
             report.notes.append(f"evaluator failed on a sample: {exc}")
             deriv_all_ok = False
     if ratios:

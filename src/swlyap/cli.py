@@ -55,7 +55,6 @@ class RunConfig:
     state: object | None = None
     family: SignalFamily | None = None
     horizon: float = 10.0
-    quad_tol: float = 1e-9
     dt: float = 0.01
     seed: int = 0
     n_samples: int = 5
@@ -208,7 +207,6 @@ def validate_config(raw):
 
     family = _parse_family(raw.get("family"), errors, system.n_modes if system else 0)
     horizon = _positive(raw, "horizon", 10.0, errors)
-    quad_tol = _positive(raw, "quad_tol", 1e-9, errors)
     dt = _positive(raw, "dt", 0.01, errors)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
@@ -234,7 +232,6 @@ def validate_config(raw):
             state=state,
             family=family,
             horizon=horizon,
-            quad_tol=quad_tol,
             dt=dt,
             seed=seed,
             n_samples=n_samples,
@@ -295,9 +292,7 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_worst_case(config: RunConfig):
-    est = v_sup(
-        config.system, config.state, config.family, config.horizon, config.quad_tol
-    )
+    est = v_sup(config.system, config.state, config.family, config.horizon)
     doc = est.to_json()
     doc["task"] = "worst_case"
     doc["seed"] = config.seed
@@ -335,7 +330,7 @@ def _run_certify(config: RunConfig):
     decay = fit_decay(sys_, fam, time_grid, samples)
 
     def v(x):
-        return v_sup(sys_, x, fam, config.horizon, config.quad_tol, refine=False).value
+        return v_sup(sys_, x, fam, config.horizon, refine=False).value
 
     report = condition_report(sys_, v, samples, fam, growth=growth)
     doc = {
@@ -449,7 +444,7 @@ def _reproduce_cascade(config: RunConfig):
         )
         sig = SwitchingSignal(segs, int(rng.choice(fam_ids)))
         for w in _sample_states(sys6, 4, rng):
-            cost, _ = trajectory_cost(sys6, sig, w, 1.25, config.quad_tol)
+            cost, _ = trajectory_cost(sys6, sig, w, 1.25)
             worst = max(worst, cost / state_norm(w, sys6.norm) ** 2)
     eps = 4.0 ** -(n + 1)
     sys_n = presets.cascade_system(n, p)
@@ -553,7 +548,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory (env SWLYAP_OUT overrides)")
         p.add_argument("--seed", type=int)
         p.add_argument("--horizon", type=float)
-        p.add_argument("--quad-tol", type=float, dest="quad_tol")
 
     p_sim = sub.add_parser("simulate", help="evolve one signal and export the trajectory")
     common(p_sim)
@@ -587,7 +581,7 @@ def main(argv=None) -> int:
         for key in ("delta", "n", "p"):
             if getattr(args, key, None) is not None:
                 params[key] = getattr(args, key)
-    for key in ("seed", "horizon", "quad_tol", "dt", "n_samples"):
+    for key in ("seed", "horizon", "dt", "n_samples"):
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
     if getattr(args, "out", None):

@@ -18,6 +18,7 @@ max over tied maximizers of 2 <psi, B x>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_ARGMAX_TOL = 1e-9
+_BLOCK_STEP_NORM = 4.0  # largest ||A||_1 h exponentiated in one block step
 
 
 def lyapunov_solve(A, Q) -> np.ndarray:
@@ -82,18 +84,31 @@ def segment_energy(A, d: float) -> np.ndarray:
     """Finite-segment energy integral(0, d) e^{A' t} e^{A t} dt.
 
     Uses the block-exponential construction: exponentiate
-    [[-A', I], [0, A]] * d and combine the off-diagonal block with e^{A d}.
+    [[-A', I], [0, A]] * h and combine the off-diagonal block with e^{A h}.
+    The -A' block grows like e^{||A|| h}, and the rounding error with its
+    square, so a dwell with ||A||_1 d above _BLOCK_STEP_NORM takes the block
+    on a base step h = d / 2^k below it and doubles k times:
+    E(2h) = E(h) + Phi(h)' E(h) Phi(h), Phi(2h) = Phi(h)^2.
     """
-    if d <= 0:
-        raise ContractViolation("segment length must be positive")
+    if not (d > 0 and math.isfinite(d)):
+        raise ContractViolation("segment length must be positive and finite")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
+    # ||A||_1 d, by column sums in plain Python: on the small matrices
+    # exponentiated here numpy's per-call overhead would cost more
+    reach = max(sum(map(abs, col)) for col in A.T.tolist()) * d
+    k = math.ceil(math.log2(reach / _BLOCK_STEP_NORM)) if reach > _BLOCK_STEP_NORM else 0
+    h = d / 2.0**k
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -A.T
     block[:n, n:] = np.eye(n)
     block[n:, n:] = A
-    E = expm(block * d)
-    G = E[n:, n:].T @ E[:n, n:]
+    E = expm(block * h)
+    Phi = E[n:, n:]
+    G = Phi.T @ E[:n, n:]
+    for _ in range(k):
+        G = G + Phi.T @ G @ Phi
+        Phi = Phi @ Phi
     return 0.5 * (G + G.T)
 
 

@@ -9,8 +9,8 @@ Two candidate functionals are computed over a finite signal family:
 
 Both are lower bounds of the corresponding suprema over all signals; the
 family truncation is the only gap.  Segment energies are closed-form for the
-scalar group, event-exact for transport (the squared norm is piecewise
-polynomial in time there), and adaptive Simpson for matrix modes.
+scalar group and for transport (between structural events ||x(t)||_p^p is
+linear in time there), and adaptive Simpson for matrix modes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import DecayBound
 from .errors import ContractViolation
-from .semigroups import DiagonalGroupMode, MatrixMode, ShiftAmplifyMode, apply
+from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
 from .switching import (
     SignalFamily,
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 10.0
+_QUAD_RTOL = 1e-9  # relative tolerance of the adaptive Simpson matrix energies
 _TIE_RTOL = 1e-12
 
 
@@ -99,8 +100,8 @@ def default_derivative_grid() -> tuple:
 # -- quadrature ----------------------------------------------------------------
 
 
-def _adaptive_simpson(g, a: float, b: float, rtol: float) -> float:
-    """Adaptive Simpson; the tolerance is relative to the whole-interval estimate.
+def _adaptive_simpson(g, a: float, b: float) -> float:
+    """Adaptive Simpson to _QUAD_RTOL, relative to the whole-interval estimate.
 
     The budget is split classically (eps halves with the interval), which both
     terminates on dead stretches of a decayed integrand and keeps refinement
@@ -108,7 +109,7 @@ def _adaptive_simpson(g, a: float, b: float, rtol: float) -> float:
     """
     fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    eps0 = rtol * (abs(whole) + 1e-300)
+    eps0 = _QUAD_RTOL * (abs(whole) + 1e-300)
 
     def rec(a, b, fa, fm, fb, whole, eps, depth):
         m = 0.5 * (a + b)
@@ -126,64 +127,51 @@ def _adaptive_simpson(g, a: float, b: float, rtol: float) -> float:
     return rec(a, b, fa, fm, fb, whole, eps0, 36)
 
 
-_GL2 = ((-1.0 / math.sqrt(3.0), 1.0), (1.0 / math.sqrt(3.0), 1.0))
-_GL16 = tuple(zip(*np.polynomial.legendre.leggauss(16)))
-
-
-def _gauss(g, a: float, b: float, nodes) -> float:
-    h = 0.5 * (b - a)
-    m = 0.5 * (a + b)
-    return h * sum(w * g(m + h * z) for z, w in nodes)
-
-
 # -- per-segment energy ---------------------------------------------------------
 
 
-def _transport_events(mode, f: PiecewiseConstantFn, d: float):
-    """Times in (0, d) where the piecewise structure of the evolved state changes."""
-    ev = set()
-    if isinstance(mode, ShiftAmplifyMode):
-        A, B = mode.domain
-        c = mode.edge
-        if mode.direction == "left":
-            for b in f.edges():
-                ev.add(b - A)
-                ev.add(b - c)
-            ev.add(c - A)
-        else:
-            for b in f.edges():
-                ev.add(B - b)
-                ev.add(c - b)
-            ev.add(B - c)
-        ev.add(B - A)
-    else:  # half-line shift
-        for b in f.edges():
-            ev.add(b)
-    return sorted(t for t in ev if 0.0 < t < d)
+def _mean_pow(sa: float, sb: float, q: float) -> float:
+    """Mean over [0, 1] of (sa + (sb - sa) u)^q for sa, sb >= 0.
+
+    Written around the larger end, hi^q (1 - r^{q+1}) / ((q + 1)(1 - r)) with
+    r = lo / hi, through expm1 and log1p so near-equal ends lose no digits.
+    """
+    hi, lo = (sa, sb) if sa >= sb else (sb, sa)
+    if hi == 0.0:
+        return 0.0
+    if lo == 0.0:
+        return hi**q / (q + 1.0)
+    delta = (hi - lo) / hi
+    if delta == 0.0:
+        return hi**q
+    return hi**q * -math.expm1((q + 1.0) * math.log1p(-delta)) / ((q + 1.0) * delta)
 
 
-def _transport_energy(sys, mode, d: float, f: PiecewiseConstantFn) -> float:
-    """integral(0, d) of ||T(tau) f||^2 dtau, event-exact for p in {1, 2}."""
+def _transport_energy(sys, mode, d: float, f: PiecewiseConstantFn, end) -> float:
+    """integral(0, d) of ||T(tau) f||^2 dtau, exact from the event cuts.
+
+    ``end`` is T(d) f.  Between events s(tau) = ||T(tau) f||_p^p is linear,
+    so each stretch integrates s^{2/p} in closed form from its end values.
+    """
     p = sys.norm.p
-    cuts = [0.0] + _transport_events(mode, f, d) + [d]
-    nodes = _GL2 if p in (1.0, 2.0) else _GL16
-
-    def g(tau):
-        s = lp_norm_pow(apply(mode, tau, f), p)
-        if p == 2.0:
-            return s
-        if p == 1.0:
-            return s * s
-        return s ** (2.0 / p)
-
+    events = transport_events(mode, f, d)
+    cuts = [0.0] + events + [d]
+    s = [lp_norm_pow(f, p)]
+    s += [lp_norm_pow(apply(mode, tau, f), p) for tau in events]
+    s.append(lp_norm_pow(end, p))
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b > a:
-            total += _gauss(g, a, b, nodes)
+    for a, b, sa, sb in zip(cuts[:-1], cuts[1:], s[:-1], s[1:]):
+        if p == 2.0:
+            total += 0.5 * (b - a) * (sa + sb)
+        elif p == 1.0:
+            total += (b - a) * (sa * sa + sa * sb + sb * sb) / 3.0
+        else:
+            total += (b - a) * _mean_pow(sa, sb, 2.0 / p)
     return total
 
 
-def _segment_energy(sys, mode, d: float, x, rtol: float) -> float:
+def _segment_energy(sys, mode, d: float, x, end) -> float:
+    """integral(0, d) of ||T(tau) x||^2 dtau, where ``end`` is T(d) x."""
     if d <= 0.0:
         return 0.0
     if isinstance(mode, DiagonalGroupMode):
@@ -201,27 +189,24 @@ def _segment_energy(sys, mode, d: float, x, rtol: float) -> float:
             y = apply(mode, tau, x)
             return float(y @ y)
 
-        return _adaptive_simpson(g, 0.0, d, rtol)
-    return _transport_energy(sys, mode, d, x)
+        return _adaptive_simpson(g, 0.0, d)
+    return _transport_energy(sys, mode, d, x, end)
 
 
 def _walk_segments(sys, sig, horizon, x):
-    """Yield (mode, dwell, state at segment start); final state is also returned."""
+    """(mode, dwell, start state, end state) per segment, and the final state."""
     plan = []
     remaining = horizon
     state = x
-    for mode_id, dwell in sig.segments:
+    for mode_id, dwell in sig.segments + ((sig.tail_mode, math.inf),):
         if remaining <= 0.0:
             break
         step = dwell if dwell <= remaining else remaining
         mode = sys.mode(mode_id)
-        plan.append((mode, step, state))
-        state = apply(mode, step, state)
+        end = apply(mode, step, state)
+        plan.append((mode, step, state, end))
+        state = end
         remaining -= step
-    if remaining > 0.0:
-        mode = sys.mode(sig.tail_mode)
-        plan.append((mode, remaining, state))
-        state = apply(mode, remaining, state)
     return plan, state
 
 
@@ -230,7 +215,6 @@ def trajectory_cost(
     sig: SwitchingSignal,
     x,
     horizon: float,
-    quad_tol: float = 1e-9,
     decay: DecayBound | None = None,
 ):
     """Energy integral(0, horizon) ||x(t)||^2 dt along one signal.
@@ -242,12 +226,10 @@ def trajectory_cost(
     """
     if horizon <= 0:
         raise ContractViolation("horizon must be positive")
-    if quad_tol <= 0:
-        raise ContractViolation("quadrature tolerance must be positive")
     plan, final_state = _walk_segments(sys, sig, horizon, x)
     total = 0.0
-    for mode, dwell, state in plan:
-        total += _segment_energy(sys, mode, dwell, state, quad_tol)
+    for mode, dwell, start, end in plan:
+        total += _segment_energy(sys, mode, dwell, start, end)
     tail = None
     if decay is not None:
         n2 = state_norm(final_state, sys.norm) ** 2
@@ -264,7 +246,7 @@ def _default_horizon(decay: DecayBound | None) -> float:
     return max(DEFAULT_HORIZON, 5.0 / decay.mu)
 
 
-def _refine_dwells(sys, x, sig, cost, horizon, quad_tol, step, max_evals=60):
+def _refine_dwells(sys, x, sig, cost, horizon, step, max_evals=60):
     """Greedy local search: perturb each dwell by +-step while it improves."""
     best_sig, best_cost = sig, cost
     evals = 0
@@ -279,7 +261,7 @@ def _refine_dwells(sys, x, sig, cost, horizon, quad_tol, step, max_evals=60):
                 segs = list(best_sig.segments)
                 segs[i] = (mode_id, d_new)
                 cand = SwitchingSignal(tuple(segs), best_sig.tail_mode)
-                c, _ = trajectory_cost(sys, cand, x, horizon, quad_tol)
+                c, _ = trajectory_cost(sys, cand, x, horizon)
                 evals += 1
                 if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
                     best_sig, best_cost = cand, c
@@ -292,7 +274,6 @@ def v_sup(
     x,
     fam: SignalFamily | None = None,
     horizon: float | None = None,
-    quad_tol: float = 1e-9,
     decay: DecayBound | None = None,
     refine: bool = True,
 ) -> LyapunovEstimate:
@@ -309,15 +290,15 @@ def v_sup(
         horizon = _default_horizon(decay)
     best_sig, best_cost = None, -1.0
     for sig in enumerate_family(fam):
-        c, _ = trajectory_cost(sys, sig, x, horizon, quad_tol)
+        c, _ = trajectory_cost(sys, sig, x, horizon)
         if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
             best_sig, best_cost = sig, c
     if refine and best_sig.segments:
         step = 0.5 * min(fam.dwell_grid)
         best_sig, best_cost = _refine_dwells(
-            sys, x, best_sig, best_cost, horizon, quad_tol, step
+            sys, x, best_sig, best_cost, horizon, step
         )
-    _, tail = trajectory_cost(sys, best_sig, x, horizon, quad_tol, decay)
+    _, tail = trajectory_cost(sys, best_sig, x, horizon, decay)
     upper = None
     if decay is not None:
         upper = decay.K**2 / (2.0 * decay.mu) * state_norm(x, sys.norm) ** 2

@@ -21,6 +21,7 @@ breakpoints evolve with exact double arithmetic.  All operations are pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,7 @@ __all__ = [
     "matrix_mode",
     "apply",
     "apply_adjoint",
+    "transport_events",
     "group_inverse_norm",
     "mode_state_kind",
     "mode_to_json",
@@ -115,10 +117,6 @@ class ShiftAmplifyMode:
     def domain(self) -> tuple:
         return (self.domain_lo, self.domain_hi)
 
-    @property
-    def length(self) -> float:
-        return self.domain_hi - self.domain_lo
-
 
 @dataclass(frozen=True)
 class DiagonalGroupMode:
@@ -134,8 +132,15 @@ class DiagonalGroupMode:
 
 @dataclass(frozen=True)
 class HalfLineShiftMode:
-    """Left translation (T(t)f)(s) = f(s+t) on the half line, truncated at 0."""
+    """Left translation (T(t)f)(s) = f(s+t) on the half line, truncated at 0.
 
+    This is left transport on the state's own domain [0, hi] with its edge at
+    0 and factor 1, so it never amplifies.
+    """
+
+    direction = "left"
+    edge = 0.0
+    factor = 1.0
 
 
 def mode_state_kind(mode) -> str:
@@ -167,66 +172,70 @@ def _expm(A: np.ndarray, t: float) -> np.ndarray:
     return val
 
 
-# -- transport kernels ---------------------------------------------------------
+# -- transport kernel ----------------------------------------------------------
 
 
-def _rebuild(f: PiecewiseConstantFn, candidates, value_at) -> PiecewiseConstantFn:
-    """Build a piecewise function from candidate breakpoints and a sampler.
+def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
+    """Translate ``f`` by ``t`` and amplify the window of crossed characteristics.
 
-    ``candidates`` must contain every point where the output can change value;
-    values are sampled at piece midpoints, which keeps dyadic data exact.
+    Output pieces lie between the shifted edges of ``f`` and the window ends.
+    Each piece is valued at its midpoint, which keeps dyadic data exact, and
+    merged into its left neighbour when equal, so the result is canonical as
+    built.
     """
-    lo, hi = f.domain
-    pts = sorted({c for c in candidates if lo < c < hi})
-    edges = [lo] + pts + [hi]
-    values = tuple(value_at(0.5 * (a + b)) for a, b in zip(edges[:-1], edges[1:]))
-    return canonicalize(PiecewiseConstantFn(lo, hi, tuple(pts), values))
-
-
-def _apply_shift_amplify(mode: ShiftAmplifyMode, t: float, f: PiecewiseConstantFn):
-    if f.domain != mode.domain:
+    if isinstance(mode, HalfLineShiftMode):
+        if f.domain_lo != 0.0:
+            raise StructuralError("half-line states must live on [0, hi]")
+    elif f.domain != mode.domain:
         raise StructuralError(
             f"state domain {f.domain} does not match mode domain {mode.domain}"
         )
     if t == 0.0:
         return canonicalize(f)
-    A, B = mode.domain
-    if t >= mode.length:
-        return PiecewiseConstantFn.zero(A, B)
+    lo, hi = f.domain
+    if t >= hi - lo:
+        return PiecewiseConstantFn.zero(lo, hi)
+    # output s carries f(s + shift); amplified on [w_lo, w_hi), the points
+    # whose characteristic crossed the edge during [0, t]
+    c, g = mode.edge, mode.factor
+    shift, w_lo, w_hi = (t, c - t, c) if mode.direction == "left" else (-t, c, c + t)
+    cand = {b - shift for b in f.edges()}
+    cand.update((w_lo, w_hi))
+    pts = sorted(x for x in cand if lo < x < hi)
+    pts.append(hi)
+    f_breaks, f_values = f.breaks, f.values
+    breaks, values = [], []
+    a = lo
+    for b in pts:
+        m = 0.5 * (a + b)
+        s = m + shift
+        v = f_values[bisect_right(f_breaks, s)] if lo <= s < hi else 0.0
+        if v != 0.0 and w_lo <= m < w_hi:
+            v *= g
+        if not values or v != values[-1]:
+            breaks.append(a)
+            values.append(v)
+        a = b
+    return PiecewiseConstantFn(lo, hi, tuple(breaks[1:]), tuple(values))
+
+
+def transport_events(mode, f: PiecewiseConstantFn, d: float) -> list:
+    """Times in (0, d) where the piecewise structure of T(tau) f changes.
+
+    Between consecutive events every L^p norm power of T(tau) f is linear
+    in tau: an edge of ``f`` meets the domain end or the amplification edge,
+    or the window meets the domain end.
+    """
+    A, B = f.domain
     c = mode.edge
-    g = mode.factor
     if mode.direction == "left":
-        # output s carries f(s+t); amplified on [c - t, c), the set of points
-        # whose characteristic crossed the edge during [0, t]
-        w_lo, w_hi = c - t, c
-        cand = [b - t for b in f.edges()]
-        cand += [w_lo, w_hi]
-
-        def value_at(m):
-            v = f.at(m + t)
-            return v * g if (w_lo <= m < w_hi and v != 0.0) else v
-
+        ev = {b - e for b in f.edges() for e in (A, c)}
+        ev.add(c - A)
     else:
-        w_lo, w_hi = c, c + t
-        cand = [b + t for b in f.edges()]
-        cand += [w_lo, w_hi]
-
-        def value_at(m):
-            v = f.at(m - t)
-            return v * g if (w_lo <= m < w_hi and v != 0.0) else v
-
-    return _rebuild(f, cand, value_at)
-
-
-def _apply_half_line(t: float, f: PiecewiseConstantFn):
-    if f.domain_lo != 0.0:
-        raise StructuralError("half-line states must live on [0, hi]")
-    if t == 0.0:
-        return canonicalize(f)
-    if t >= f.domain_hi:
-        return PiecewiseConstantFn.zero(0.0, f.domain_hi)
-    cand = [b - t for b in f.edges()]
-    return _rebuild(f, cand, lambda m: f.at(m + t))
+        ev = {e - b for b in f.edges() for e in (B, c)}
+        ev.add(B - c)
+    ev.add(B - A)
+    return sorted(t for t in ev if 0.0 < t < d)
 
 
 # -- public operations ---------------------------------------------------------
@@ -261,14 +270,10 @@ def apply(mode, t: float, x):
                 )
             )
         raise StructuralError(f"unknown state type {type(x).__name__}")
-    if isinstance(mode, ShiftAmplifyMode):
+    if isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
         if not isinstance(x, PiecewiseConstantFn):
             raise StructuralError("transport modes act on piecewise-constant states")
-        return _apply_shift_amplify(mode, t, x)
-    if isinstance(mode, HalfLineShiftMode):
-        if not isinstance(x, PiecewiseConstantFn):
-            raise StructuralError("transport modes act on piecewise-constant states")
-        return _apply_half_line(t, x)
+        return _transport(mode, t, x)
     raise StructuralError(f"unknown mode type {type(mode).__name__}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ContractViolation, FamilySizeError, StructuralError
-from .semigroups import apply, mode_state_kind
+from .semigroups import MatrixMode, apply, mode_state_kind
 from .state_space import NormSpec, state_norm
 
 __all__ = [
@@ -112,6 +112,9 @@ class SwitchedSystem:
             raise StructuralError("coordinate modes require a Euclidean norm")
         if kinds == {"function"} and self.norm.kind != "lp":
             raise StructuralError("function-space modes require an L^p norm")
+        dims = {m.dim for m in self.modes if isinstance(m, MatrixMode)}
+        if len(dims) > 1:
+            raise StructuralError(f"matrix modes have different dimensions: {sorted(dims)}")
 
     @property
     def n_modes(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 from swlyap import (
     ContractViolation,
     DecayBound,
+    EstimationError,
     FitRefusal,
     GrowthBound,
     NormEquivalence,
@@ -268,3 +269,18 @@ class TestConditionReport:
     def test_requires_samples(self):
         with pytest.raises(ContractViolation):
             condition_report(SCALAR, lambda x: 0.0, [], None)
+
+    def test_library_error_recorded(self):
+        def v(x):
+            raise EstimationError("no estimate")
+
+        rep = condition_report(SCALAR, v, [UNIT], SignalFamily((1.0,), 0, (0,)))
+        assert rep.notes[0] == "evaluator failed on a sample: no estimate"
+        assert not rep.derivative_ok
+
+    def test_non_library_error_propagates(self):
+        def v(x):
+            raise ZeroDivisionError("evaluator bug")
+
+        with pytest.raises(ZeroDivisionError, match="evaluator bug"):
+            condition_report(SCALAR, v, [UNIT], SignalFamily((1.0,), 0, (0,)))

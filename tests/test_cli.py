@@ -46,7 +46,6 @@ class TestValidateConfig:
         cfg, errors = validate_config(dict(MINIMAL_SIMULATE))
         assert errors == []
         assert cfg.horizon == 10.0
-        assert cfg.quad_tol == 1e-9
         assert cfg.dt == 0.01
         assert cfg.seed == 0
         assert cfg.family is not None
@@ -208,6 +207,27 @@ class TestGramTask:
         assert code == 2
         err = capsys.readouterr().err
         assert "state: required" in err
+
+
+def test_mixed_matrix_dimensions_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "mixed.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "system": {
+                    "modes": [
+                        {"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -2.0]]},
+                        {"kind": "matrix", "A": [[-1.0]]},
+                    ]
+                },
+                "state": {"coords": [1.0, 1.0]},
+            }
+        )
+    )
+    code = main(["worst-case", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("system: matrix modes have different dimensions")
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):

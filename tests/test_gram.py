@@ -83,6 +83,24 @@ class TestSegmentEnergy:
                 segment_energy(A, d), quadrature_segment_energy(A, d), rtol=1e-8, atol=1e-10
             )
 
+    @pytest.mark.parametrize("d", [10.0, 20.0, 40.0, 100.0])
+    def test_long_dwells_against_quadrature(self, d):
+        # the single block exponential loses every digit here (error 1e17 at d=20)
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        E = segment_energy(A, d)
+        W = quadrature_segment_energy(A, d)
+        assert np.allclose(E, W, rtol=1e-10, atol=1e-12)
+        assert float(np.min(np.linalg.eigvalsh(E))) > 0.0
+
+    def test_long_dwells_random(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            A = random_hurwitz(rng, 3)
+            d = float(rng.uniform(10.0, 100.0))
+            assert np.allclose(
+                segment_energy(A, d), quadrature_segment_energy(A, d), rtol=1e-9, atol=1e-12
+            )
+
     def test_positive_length_required(self):
         with pytest.raises(ContractViolation):
             segment_energy([[-1.0]], 0.0)
@@ -108,6 +126,13 @@ class TestGramOfSignal:
         W = quadrature_gram(sys_, sig)
         assert np.allclose(g.B, W, rtol=1e-8, atol=1e-10)
 
+    def test_long_dwell_signal_is_psd(self):
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        sys_ = type(commuting_diag_pair())((matrix_mode(A),), commuting_diag_pair().norm)
+        sig = SwitchingSignal(((0, 40.0),), 0)
+        g = gram_of_signal(sys_, sig)
+        assert np.allclose(g.B, quadrature_gram(sys_, sig), rtol=1e-8, atol=1e-10)
+
     def test_unstable_tail_names_mode(self):
         sys_ = scalar_mode_system((-1.0, 1.0))
         with pytest.raises(UnstableTailError, match="tail mode 1"):
@@ -129,7 +154,7 @@ class TestGramOfSignal:
             g = gram_of_signal(sys_, sig)
             for _ in range(20):
                 x = euclidean_state(rng.standard_normal(dim))
-                quad, _ = trajectory_cost(sys_, sig, x, horizon=60.0, quad_tol=1e-10)
+                quad, _ = trajectory_cost(sys_, sig, x, horizon=60.0)
                 assert float(x @ g.B @ x) == pytest.approx(quad, rel=1e-6)
 
     def test_norm_bounded_by_decay_constants(self):

@@ -94,8 +94,6 @@ class TestTrajectoryCost:
         x = euclidean_state([1.0])
         with pytest.raises(ContractViolation):
             trajectory_cost(SCALARS, CONST0, x, horizon=0.0)
-        with pytest.raises(ContractViolation):
-            trajectory_cost(SCALARS, CONST0, x, horizon=1.0, quad_tol=0.0)
 
 
 class TestVSup:

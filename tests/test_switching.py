@@ -201,6 +201,13 @@ class TestSystemValidation:
         with pytest.raises(StructuralError):
             SwitchedSystem((matrix_mode([[-1.0]]), BLOWUP.modes[0]), NormSpec.euclidean())
 
+    def test_matrix_dimensions_must_agree(self):
+        with pytest.raises(StructuralError, match="different dimensions"):
+            SwitchedSystem(
+                (matrix_mode([[-1.0, 0.0], [0.0, -2.0]]), matrix_mode([[-1.0]])),
+                NormSpec.euclidean(),
+            )
+
     def test_norm_kind_must_match(self):
         with pytest.raises(StructuralError):
             SwitchedSystem((matrix_mode([[-1.0]]),), NormSpec(2.0))

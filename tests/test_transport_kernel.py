@@ -1,0 +1,235 @@
+"""The transport kernel and the closed-form transport energies, checked
+against a copy of the sample-then-canonicalize kernel they replace and
+against Gauss quadrature of the evolved norm."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from swlyap import (
+    HalfLineShiftMode,
+    NormSpec,
+    PiecewiseConstantFn,
+    ShiftAmplifyMode,
+    SwitchedSystem,
+    SwitchingSignal,
+    apply,
+    canonicalize,
+    trajectory_cost,
+)
+from swlyap.lyapunov import _mean_pow
+from swlyap.semigroups import transport_events
+from swlyap.state_space import lp_norm_pow
+
+DENOM = 64
+
+
+# -- the replaced kernel: candidate breakpoints, midpoint samples, canonicalize --
+
+
+def _rebuild(f, candidates, value_at):
+    lo, hi = f.domain
+    pts = sorted({c for c in candidates if lo < c < hi})
+    edges = [lo] + pts + [hi]
+    values = tuple(value_at(0.5 * (a + b)) for a, b in zip(edges[:-1], edges[1:]))
+    return canonicalize(PiecewiseConstantFn(lo, hi, tuple(pts), values))
+
+
+def reference_apply(mode, t, f):
+    if t == 0.0:
+        return canonicalize(f)
+    if isinstance(mode, HalfLineShiftMode):
+        if t >= f.domain_hi:
+            return PiecewiseConstantFn.zero(0.0, f.domain_hi)
+        return _rebuild(f, [b - t for b in f.edges()], lambda m: f.at(m + t))
+    A, B = mode.domain
+    if t >= B - A:
+        return PiecewiseConstantFn.zero(A, B)
+    c, g = mode.edge, mode.factor
+    if mode.direction == "left":
+        w_lo, w_hi, src = c - t, c, t
+        cand = [b - t for b in f.edges()]
+    else:
+        w_lo, w_hi, src = c, c + t, -t
+        cand = [b + t for b in f.edges()]
+
+    def value_at(m):
+        v = f.at(m + src)
+        return v * g if (w_lo <= m < w_hi and v != 0.0) else v
+
+    return _rebuild(f, cand + [w_lo, w_hi], value_at)
+
+
+def reference_events(mode, f, d):
+    ev = set()
+    if isinstance(mode, ShiftAmplifyMode):
+        A, B = mode.domain
+        c = mode.edge
+        if mode.direction == "left":
+            for b in f.edges():
+                ev.update((b - A, b - c))
+            ev.add(c - A)
+        else:
+            for b in f.edges():
+                ev.update((B - b, c - b))
+            ev.add(B - c)
+        ev.add(B - A)
+    else:
+        ev.update(f.edges())
+    return sorted(t for t in ev if 0.0 < t < d)
+
+
+def _squared_norm(mode, f, p):
+    return lambda tau: lp_norm_pow(reference_apply(mode, tau, f), p) ** (2.0 / p)
+
+
+def gl2_energy(mode, f, d, p):
+    """The replaced energy: two-point Gauss on every stretch between events."""
+    g = _squared_norm(mode, f, p)
+    cuts = [0.0] + reference_events(mode, f, d) + [d]
+    z = 1.0 / math.sqrt(3.0)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        h, m = 0.5 * (b - a), 0.5 * (a + b)
+        total += h * (g(m - h * z) + g(m + h * z))
+    return total
+
+
+def fine_energy(mode, f, d, p):
+    """Adaptive Gauss-Kronrod on every stretch between events."""
+    g = _squared_norm(mode, f, p)
+    cuts = [0.0] + reference_events(mode, f, d) + [d]
+    return sum(
+        quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+
+
+# -- random dyadic data ------------------------------------------------------------
+
+DOMAINS = ((-1.0, 1.0), (0.0, 1.0), (0.0, 4.0))
+FACTORS = (2.0, 0.5, math.sqrt(2.0), 3.0)
+
+
+@st.composite
+def dyadic_fn(draw, lo, hi):
+    cells = draw(st.lists(st.integers(1, DENOM - 1), max_size=7, unique=True))
+    breaks = tuple(lo + (hi - lo) * k / DENOM for k in sorted(cells))
+    values = draw(
+        st.lists(st.integers(-8, 8), min_size=len(breaks) + 1, max_size=len(breaks) + 1)
+    )
+    return canonicalize(PiecewiseConstantFn(lo, hi, breaks, tuple(float(v) for v in values)))
+
+
+@st.composite
+def transport_case(draw):
+    """(mode, state, time) for either transport kind and either direction."""
+    if draw(st.booleans()):
+        lo, hi = 0.0, draw(st.sampled_from((1.0, 4.0, 12.0)))
+        mode = HalfLineShiftMode()
+    else:
+        lo, hi = draw(st.sampled_from(DOMAINS))
+        a, b = sorted(draw(st.lists(st.integers(0, DENOM), min_size=2, max_size=2)))
+        span = hi - lo
+        mode = ShiftAmplifyMode(
+            lo,
+            hi,
+            draw(st.sampled_from(("left", "right"))),
+            lo + span * a / DENOM,
+            lo + span * b / DENOM,
+            draw(st.sampled_from(FACTORS)),
+        )
+    f = draw(dyadic_fn(lo, hi))
+    t = (hi - lo) * draw(st.integers(0, 2 * DENOM + 8)) / (2 * DENOM)
+    return mode, f, t
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(transport_case())
+    def test_single_step_exact(self, case):
+        mode, f, t = case
+        assert apply(mode, t, f) == reference_apply(mode, t, f)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(transport_case(), st.integers(0, 2 * DENOM))
+    def test_composed_steps_exact(self, case, k):
+        mode, f, t = case
+        s = (f.domain_hi - f.domain_lo) * k / (4 * DENOM)
+        got = apply(mode, s, apply(mode, t, f))
+        assert got == reference_apply(mode, s, reference_apply(mode, t, f))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(transport_case())
+    def test_events_unchanged(self, case):
+        mode, f, t = case
+        d = t + 0.5
+        assert transport_events(mode, f, d) == reference_events(mode, f, d)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(transport_case())
+    def test_result_is_canonical(self, case):
+        mode, f, t = case
+        out = apply(mode, t, f)
+        assert canonicalize(out) is out
+
+
+def closed_form_energy(mode, f, d, p):
+    sys_ = SwitchedSystem((mode,), NormSpec(p))
+    return trajectory_cost(sys_, SwitchingSignal((), 0), f, horizon=d)[0]
+
+
+def _horizon(f, t):
+    return t + (f.domain_hi - f.domain_lo) / DENOM
+
+
+class TestClosedFormEnergy:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=transport_case())
+    def test_matches_two_point_gauss(self, p, case):
+        mode, f, t = case
+        d = _horizon(f, t)
+        want = gl2_energy(mode, f, d, p)
+        assert closed_form_energy(mode, f, d, p) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=transport_case())
+    def test_other_exponents_match_fine_quadrature(self, p, case):
+        mode, f, t = case
+        d = _horizon(f, t)
+        want = fine_energy(mode, f, d, p)
+        assert closed_form_energy(mode, f, d, p) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+    def test_switched_signal_sums_segments(self):
+        left = ShiftAmplifyMode(-1.0, 1.0, "left", -1.0, 0.0, 2.0)
+        right = ShiftAmplifyMode(-1.0, 1.0, "right", 0.0, 1.0, 2.0)
+        sys_ = SwitchedSystem((left, right), NormSpec(1.0))
+        sig = SwitchingSignal(((0, 0.25), (1, 0.375), (0, 0.125)), 1)
+        f = PiecewiseConstantFn(-1.0, 1.0, (-0.5, 0.125, 0.25), (1.0, -3.0, 2.0, 0.0))
+        want, state = 0.0, f
+        for mode_id, dwell in sig.segments + ((sig.tail_mode, 0.75),):
+            mode = sys_.mode(mode_id)
+            want += gl2_energy(mode, state, dwell, 1.0)
+            state = reference_apply(mode, dwell, state)
+        got, _ = trajectory_cost(sys_, sig, f, horizon=1.5)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestMeanPow:
+    @pytest.mark.parametrize("q", [0.5, 2.0 / 3.0, 4.0 / 3.0, 2.0])
+    def test_against_antiderivative(self, q):
+        for sa, sb in ((1.0, 3.0), (3.0, 1.0), (0.0, 2.0), (2.0, 0.0), (0.25, 0.75)):
+            want = (sb ** (q + 1) - sa ** (q + 1)) / ((q + 1) * (sb - sa))
+            assert _mean_pow(sa, sb, q) == pytest.approx(want, rel=1e-14)
+
+    def test_equal_and_nearly_equal_ends(self):
+        assert _mean_pow(0.0, 0.0, 0.5) == 0.0
+        assert _mean_pow(2.0, 2.0, 1.5) == 2.0**1.5
+        # the mean of a nearly constant integrand is its midpoint value
+        got = _mean_pow(1.0, 1.0 + 2e-9, 2.0 / 3.0)
+        assert got == pytest.approx((1.0 + 1e-9) ** (2.0 / 3.0), rel=1e-15)
