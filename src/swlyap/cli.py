@@ -12,8 +12,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,12 +29,14 @@ from .certificates import (
     fit_growth,
     gronwall_certificate,
 )
-from .errors import SwlyapError
+from .errors import StructuralError, SwlyapError
 from .gram import argmax_set, candidates_from_family, v_max
 from .lyapunov import trajectory_cost, v_sup
-from .semigroups import mode_from_json
-from .state_space import NormSpec, PiecewiseConstantFn, euclidean_state, state_norm
+from .semigroups import MatrixMode, ShiftAmplifyMode, apply
+from .state_space import PiecewiseConstantFn, euclidean_state, state_norm
 from .switching import (
+    DEFAULT_DWELL_GRID,
+    DEFAULT_MAX_SWITCHES,
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
@@ -43,8 +47,30 @@ from .switching import (
 __all__ = ["RunConfig", "validate_config", "run", "main"]
 
 TASKS = ("simulate", "worst_case", "certify", "gram", "reproduce")
-EXAMPLES = ("example-2.1", "remark-3.2", "half-line-shift")
 OUT_ENV = "SWLYAP_OUT"
+
+# Number fields as (cast, accepts, requirement); defaults are RunConfig's.
+_SCALARS = {
+    "horizon": (float, lambda v: v > 0, "a positive number"),
+    "dt": (float, lambda v: v > 0, "a positive number"),
+    "seed": (int, lambda v: v >= 0, "a nonnegative integer"),
+    "n_samples": (int, lambda v: v >= 1, "a positive integer"),
+}
+# The params of each reproduce example, as (default, cast, accepts,
+# requirement).  example-2.1 builds 2/delta segments and its run time grows
+# with their square; past n = 25 the cascade's edge witness [1 - 4^-(n+1), 1]
+# rounds to the empty set.
+_PARAMS = {
+    "example-2.1": {"delta": (0.5, float, lambda v: 1 / 64 <= v <= 2, "a number in [1/64, 2]")},
+    "remark-3.2": {
+        "n": (4, int, lambda v: 1 <= v <= 25, "an integer in [1, 25]"),
+        "p": (2.0, float, lambda v: v >= 1, "a number >= 1"),
+    },
+    "half-line-shift": {},
+}
+EXAMPLES = tuple(_PARAMS)
+# A library message that starts with a field path, as in "segments[1].dwell: ...".
+_SUBPATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 
 
 @dataclass
@@ -63,105 +89,102 @@ class RunConfig:
     out_dir: str = "."
 
 
-def _parse_state(obj, errors, path="state"):
-    if isinstance(obj, dict) and "coords" in obj:
-        try:
-            return euclidean_state(obj["coords"])
-        except SwlyapError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    if isinstance(obj, dict) and "domain" in obj:
-        try:
-            return PiecewiseConstantFn.from_json(obj)
-        except SwlyapError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    errors.append(f"{path}: expected {{'coords': [...]}} or a piecewise function object")
+def _parse(errors, path, build, *args):
+    """``build(*args)``, or None after recording one ``path: message`` error."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        errors.append(f"{path}.{exc.args[0]}: required")
+    except (SwlyapError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        msg = str(exc)
+        errors.append(f"{path}.{msg}" if _SUBPATH.match(msg) else f"{path}: {msg}")
     return None
 
 
-def _parse_system(obj, errors):
-    if not isinstance(obj, dict) or "modes" not in obj:
-        errors.append("system.modes: required")
-        return None
-    modes = []
-    bad = False
-    for i, mobj in enumerate(obj["modes"]):
-        try:
-            modes.append(mode_from_json(mobj))
-        except (SwlyapError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"system.modes[{i}]: {exc}")
-            bad = True
-    if bad or not modes:
-        if not modes and not bad:
-            errors.append("system.modes: must be nonempty")
-        return None
-    try:
-        norm = NormSpec.from_json(obj["norm"]) if "norm" in obj else _default_norm(modes)
-        return SwitchedSystem(tuple(modes), norm)
-    except SwlyapError as exc:
-        errors.append(f"system: {exc}")
-        return None
+def _field(errors, raw, key, required, build, *args):
+    """Parse ``raw[key]`` if present; its absence is an error when ``required``."""
+    if key in raw:
+        return _parse(errors, key, build, raw[key], *args)
+    if required:
+        errors.append(f"{key}: required")
+    return None
 
 
-def _default_norm(modes):
-    from .semigroups import mode_state_kind
-
-    kinds = {mode_state_kind(m) for m in modes} - {"any"}
-    return NormSpec(2.0) if kinds == {"function"} else NormSpec.euclidean()
-
-
-def _parse_signal(obj, errors, path="signal"):
-    if not isinstance(obj, dict) or "segments" not in obj or "tail" not in obj:
-        errors.append(f"{path}: expected {{'segments': [[mode, dwell], ...], 'tail': mode}}")
-        return None
-    ok = True
-    for i, seg in enumerate(obj["segments"]):
-        if not (isinstance(seg, (list, tuple)) and len(seg) == 2):
-            errors.append(f"{path}.segments[{i}]: expected a [mode, dwell] pair")
-            ok = False
-            continue
-        if not (isinstance(seg[1], (int, float)) and seg[1] > 0):
-            errors.append(f"{path}.segments[{i}].dwell: must be strictly positive")
-            ok = False
-    if not ok:
-        return None
-    try:
-        return SwitchingSignal.from_json(obj)
-    except SwlyapError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
+def _number(value, cast, accepts, requirement):
+    """``value`` as ``cast`` when it is a finite JSON number that ``accepts`` takes."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        if cast(value) == value and accepts(value):
+            return cast(value)
+    raise ValueError(f"must be {requirement}")
 
 
-def _parse_family(obj, errors, n_modes):
-    if obj is None:
-        return SignalFamily.default(n_modes) if n_modes else None
-    try:
-        return SignalFamily(
-            tuple(obj.get("dwells", (0.25, 0.5, 1.0))),
-            obj.get("max_switches", 2),
-            tuple(obj.get("modes", range(n_modes))),
-        )
-    except SwlyapError as exc:
-        errors.append(f"family: {exc}")
-        return None
+def _booleans(obj, path):
+    """Paths of the booleans in ``obj``; no config field takes one."""
+    if isinstance(obj, bool):
+        return [path]
+    if isinstance(obj, dict):
+        return [b for k, v in obj.items() for b in _booleans(v, f"{path}.{k}" if path else k)]
+    if isinstance(obj, list):
+        return [b for i, v in enumerate(obj) for b in _booleans(v, f"{path}[{i}]")]
+    return []
 
 
-def _positive(obj, key, default, errors):
-    val = obj.get(key, default)
-    if not (isinstance(val, (int, float)) and val > 0 and math.isfinite(val)):
-        errors.append(f"{key}: must be a positive number")
-        return default
-    return float(val)
+def _state(obj, system):
+    """A coordinate or piecewise state that every mode of ``system`` can evolve."""
+    x = euclidean_state(obj["coords"]) if "coords" in obj else PiecewiseConstantFn.from_json(obj)
+    if system is not None:
+        for mode in system.modes:
+            apply(mode, 0.0, x)
+        state_norm(x, system.norm)
+    return x
 
 
-def validate_config(raw):
+def _signal(obj, system):
+    sig = SwitchingSignal.from_json(obj)
+    if system is not None:
+        system.mode(sig.max_mode_id())
+    return sig
+
+
+def _family(obj, system):
+    obj = {} if obj is None else obj
+    fam = SignalFamily(
+        tuple(obj.get("dwells", DEFAULT_DWELL_GRID)),
+        obj.get("max_switches", DEFAULT_MAX_SWITCHES),
+        tuple(obj.get("modes", range(system.n_modes))),
+    )
+    system.mode(max(fam.mode_ids))
+    return fam
+
+
+def _sampler(system):
+    """The first mode ``certify`` can draw sample states for."""
+    for mode in system.modes:
+        if isinstance(mode, (MatrixMode, ShiftAmplifyMode)):
+            return mode
+    raise StructuralError("certify samples states from a matrix or shift_amplify mode; none given")
+
+
+def _merged(raw, overrides):
+    """``raw`` with each ``"key"`` or ``"section.key"`` of ``overrides`` set."""
+    raw = dict(raw)
+    for path, value in overrides.items():
+        section, _, key = path.rpartition(".")
+        if not section:
+            raw[key] = value
+        elif raw.get(section) is None or isinstance(raw[section], dict):
+            raw[section] = {**(raw.get(section) or {}), key: value}
+    return raw
+
+
+def validate_config(raw, overrides=None):
     """Parse and validate a config document; collects every error found.
 
-    Returns ``(RunConfig | None, errors)``; the config is None whenever the
-    error list is nonempty.
+    ``raw`` is a JSON object or its text.  ``overrides`` maps field paths
+    such as ``"seed"`` or ``"family.dwells"`` to values that replace the
+    document's (the CLI flags).  Returns ``(RunConfig | None, errors)``; the
+    config is None whenever the error list is nonempty.
     """
-    errors = []
     if isinstance(raw, str):
         try:
             raw = json.loads(raw) if raw.strip() else {}
@@ -169,78 +192,52 @@ def validate_config(raw):
             return None, [f"config: invalid JSON ({exc})"]
     if not isinstance(raw, dict):
         return None, ["config: expected a JSON object"]
+    raw = _merged(raw, overrides or {})
+    errors = [f"{path}: booleans are not accepted" for path in _booleans(raw, "")]
 
     task = raw.get("task")
-    if task is None:
-        errors.append("task: required")
-    elif task not in TASKS:
-        errors.append(f"task: must be one of {', '.join(TASKS)}")
-
-    needs_system = task in ("simulate", "worst_case", "certify", "gram") or task is None
-    system = None
-    if needs_system:
-        if "system" not in raw:
-            errors.append("system: required")
-        else:
-            system = _parse_system(raw["system"], errors)
-
-    signal = None
-    if task == "simulate":
-        if "signal" not in raw:
-            errors.append("signal: required")
-        else:
-            signal = _parse_signal(raw["signal"], errors)
-
-    state = None
-    if "state" in raw:
-        state = _parse_state(raw["state"], errors)
-    elif task in ("simulate", "worst_case"):
-        errors.append("state: required")
-
-    example = None
+    if task not in TASKS:
+        errors.append(
+            "task: required" if task is None else f"task: must be one of {', '.join(TASKS)}"
+        )
+    scalars = {
+        key: _parse(errors, key, _number, raw.get(key, getattr(RunConfig, key)), *spec)
+        for key, spec in _SCALARS.items()
+    }
+    system = signal = family = example = None
+    params = {}
     if task == "reproduce":
-        example = raw.get("example")
-        if example is None:
-            errors.append("example: required")
-        elif example not in EXAMPLES:
-            errors.append(f"example: must be one of {', '.join(EXAMPLES)}")
-
-    family = _parse_family(raw.get("family"), errors, system.n_modes if system else 0)
-    horizon = _positive(raw, "horizon", 10.0, errors)
-    dt = _positive(raw, "dt", 0.01, errors)
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
-    n_samples = raw.get("n_samples", 5)
-    if not (isinstance(n_samples, int) and n_samples > 0):
-        errors.append("n_samples: must be a positive integer")
-        n_samples = 5
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        errors.append("params: must be an object")
-        params = {}
+        example, given = raw.get("example"), raw.get("params", {})
+        if example not in EXAMPLES:
+            errors.append(
+                "example: required" if example is None
+                else f"example: must be one of {', '.join(EXAMPLES)}"
+            )
+        elif not isinstance(given, dict):
+            errors.append("params: must be an object")
+        else:
+            params = {
+                key: _parse(errors, f"params.{key}", _number, given.get(key, default), *spec)
+                for key, (default, *spec) in _PARAMS[example].items()
+            }
+    else:
+        system = _field(errors, raw, "system", True, SwitchedSystem.from_json)
+    if task == "simulate":
+        signal = _field(errors, raw, "signal", True, _signal, system)
+    state = _field(errors, raw, "state", task in ("simulate", "worst_case"), _state, system)
+    if system is not None:
+        family = _parse(errors, "family", _family, raw.get("family"), system)
+        if task == "certify":
+            _parse(errors, "system.modes", _sampler, system)
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
+    if not (isinstance(out_dir, str) and out_dir):
+        errors.append("out_dir: must be a nonempty path")
 
     if errors:
         return None, errors
-    return (
-        RunConfig(
-            task=task,
-            system=system,
-            signal=signal,
-            state=state,
-            family=family,
-            horizon=horizon,
-            dt=dt,
-            seed=seed,
-            n_samples=n_samples,
-            example=example,
-            params=params,
-            out_dir=out_dir,
-        ),
-        [],
-    )
+    config = RunConfig(task, system, signal, state, family, example=example, params=params,
+                       out_dir=out_dir, **scalars)
+    return config, []
 
 
 # -- artifact writers -----------------------------------------------------------
@@ -293,24 +290,18 @@ def _run_simulate(config: RunConfig):
 
 def _run_worst_case(config: RunConfig):
     est = v_sup(config.system, config.state, config.family, config.horizon)
-    doc = est.to_json()
-    doc["task"] = "worst_case"
-    doc["seed"] = config.seed
+    doc = {**est.to_json(), "task": "worst_case", "seed": config.seed}
     _write_json(_out(config, "estimate.json"), doc)
     return 0
 
 
 def _sample_states(sys_, n, rng):
-    if sys_.norm.kind == "euclidean":
-        dim = next(m.dim for m in sys_.modes if hasattr(m, "dim"))
-        out = []
-        for _ in range(n):
-            v = rng.standard_normal(dim)
-            out.append(euclidean_state(v / np.linalg.norm(v)))
-        return out
-    # piecewise states on the first transport mode's domain
-    mode = next(m for m in sys_.modes if hasattr(m, "domain_lo"))
-    lo, hi = mode.domain_lo, mode.domain_hi
+    """Unit coordinate states, or piecewise states on a transport mode's domain."""
+    mode = _sampler(sys_)
+    if isinstance(mode, MatrixMode):
+        draws = (rng.standard_normal(mode.dim) for _ in range(n))
+        return [euclidean_state(v / np.linalg.norm(v)) for v in draws]
+    lo, hi = mode.domain
     out = []
     for _ in range(n):
         k = int(rng.integers(1, 4))
@@ -321,8 +312,7 @@ def _sample_states(sys_, n, rng):
 
 
 def _run_certify(config: RunConfig):
-    sys_ = config.system
-    fam = config.family or SignalFamily.default(sys_.n_modes)
+    sys_, fam = config.system, config.family
     rng = np.random.default_rng(config.seed)
     samples = _sample_states(sys_, config.n_samples, rng)
     time_grid = [0.25 * k for k in range(1, int(config.horizon / 0.25) + 1)]
@@ -391,8 +381,18 @@ def _run_reproduce(config: RunConfig):
     return _reproduce_half_line(config)
 
 
+def _write_summary(config, doc, lines):
+    """summary.json and summary.txt, and the text on stdout."""
+    _write_json(_out(config, "summary.json"), doc)
+    text = "\n".join(lines)
+    with open(_out(config, "summary.txt"), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
+    return 0
+
+
 def _reproduce_blowup(config: RunConfig):
-    delta = float(config.params.get("delta", 0.5))
+    delta = config.params["delta"]
     sys_ = presets.blowup_transport_pair()
     sig = presets.alternating_signal(delta, 2.0)
     witnesses = presets.blowup_witnesses(8)
@@ -408,31 +408,25 @@ def _reproduce_blowup(config: RunConfig):
         k += 1
         t = k * delta
     _write_csv(_out(config, "staircase.csv"), ("t", "witness_ratio", "lower_bound"), rows)
-    _write_json(
-        _out(config, "summary.json"),
-        {
-            "task": "reproduce",
-            "example": "example-2.1",
-            "delta": delta,
-            "staircase": stairs,
-            "bound_direction": "lower",
-            "note": "operator norm doubles per switch; no uniform growth envelope exists",
-        },
-    )
-    text = "\n".join(
+    doc = {
+        "task": "reproduce",
+        "example": "example-2.1",
+        "delta": delta,
+        "staircase": stairs,
+        "bound_direction": "lower",
+        "note": "operator norm doubles per switch; no uniform growth envelope exists",
+    }
+    return _write_summary(
+        config,
+        doc,
         ["alternating transport pair, dwell delta=%g" % delta]
         + lines
-        + ["norm lower bounds " + ", ".join("%g" % s["lower_bound"] for s in stairs)]
+        + ["norm lower bounds " + ", ".join("%g" % s["lower_bound"] for s in stairs)],
     )
-    with open(_out(config, "summary.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0
 
 
 def _reproduce_cascade(config: RunConfig):
-    p = float(config.params.get("p", 2.0))
-    n = int(config.params.get("n", 4))
+    p, n = config.params["p"], config.params["n"]
     rng = np.random.default_rng(config.seed)
     sys6 = presets.cascade_system(max(6, n), p)
     fam_ids = tuple(range(sys6.n_modes))
@@ -463,16 +457,15 @@ def _reproduce_cascade(config: RunConfig):
         "bound_direction": "lower",
         "note": "uniform energy bound 1.5 holds while witness growth is unbounded in n",
     }
-    _write_json(_out(config, "summary.json"), doc)
-    text = (
-        f"amplifying cascade, p={p:g}, n={n}\n"
-        f"sampled energy ratio max {worst:.6g} <= 1.5 (integral bound)\n"
-        f"witness norm ratio {ratio:.12g} (expected {2.0 ** (n / p):g})"
+    return _write_summary(
+        config,
+        doc,
+        [
+            f"amplifying cascade, p={p:g}, n={n}",
+            f"sampled energy ratio max {worst:.6g} <= 1.5 (integral bound)",
+            f"witness norm ratio {ratio:.12g} (expected {2.0 ** (n / p):g})",
+        ],
     )
-    with open(_out(config, "summary.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0
 
 
 def _reproduce_half_line(config: RunConfig):
@@ -500,16 +493,13 @@ def _reproduce_half_line(config: RunConfig):
         "unit_norm_ratios": ratios,
         "note": "strong stability without uniform decay: every trajectory dies, norm stays 1",
     }
-    _write_json(_out(config, "summary.json"), doc)
-    text = "\n".join(
+    return _write_summary(
+        config,
+        doc,
         ["half-line left translation"]
         + [f"t={r['t']}  operator_norm_witness={r['ratio']:g}" for r in ratios]
-        + ["compact witness reaches norm 0 at t=2"]
+        + ["compact witness reaches norm 0 at t=2"],
     )
-    with open(_out(config, "summary.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0
 
 
 def run(config: RunConfig) -> int:
@@ -523,79 +513,59 @@ def run(config: RunConfig) -> int:
     }
     try:
         return runners[config.task](config)
-    except SwlyapError as exc:
+    except (SwlyapError, OverflowError, OSError) as exc:
         print(f"error in {config.task}: {exc}", file=sys.stderr)
         return 1
 
 
-def _load_config_arg(args) -> dict:
-    raw = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    return raw
+def _floats(text):
+    return [float(v) for v in text.split(",")]
 
 
 def main(argv=None) -> int:
+    """Run one CLI command.  Each flag's dest is the config field it sets."""
     parser = argparse.ArgumentParser(
         prog="swlyap",
         description="Switched-semigroup stability toolbox: simulate, search, certify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, about):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (env SWLYAP_OUT overrides)")
+        p.add_argument("--out", dest="out_dir", help="output directory (env SWLYAP_OUT overrides)")
         p.add_argument("--seed", type=int)
         p.add_argument("--horizon", type=float)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="evolve one signal and export the trajectory")
-    common(p_sim)
-    p_sim.add_argument("--dt", type=float)
-
-    p_wc = sub.add_parser("worst-case", help="maximize trajectory energy over a family")
-    common(p_wc)
-    p_wc.add_argument("--dwells", help="comma-separated dwell grid")
-    p_wc.add_argument("--max-switches", type=int, dest="max_switches")
-
-    p_cert = sub.add_parser("certify", help="fit growth/decay envelopes and check conditions")
-    common(p_cert)
-    p_cert.add_argument("--samples", type=int, dest="n_samples")
-
-    p_gram = sub.add_parser("gram", help="build trajectory-energy operators for a family")
-    common(p_gram)
-
-    p_rep = sub.add_parser("reproduce", help="run a pinned demonstration")
+    command("simulate", "evolve one signal and export the trajectory").add_argument(
+        "--dt", type=float
+    )
+    p_wc = command("worst-case", "maximize trajectory energy over a family")
+    p_wc.add_argument("--dwells", type=_floats, dest="family.dwells", help="comma-separated grid")
+    p_wc.add_argument("--max-switches", type=int, dest="family.max_switches")
+    command("certify", "fit growth/decay envelopes and check conditions").add_argument(
+        "--samples", type=int, dest="n_samples"
+    )
+    command("gram", "build trajectory-energy operators for a family")
+    p_rep = command("reproduce", "run a pinned demonstration")
     p_rep.add_argument("example", choices=EXAMPLES)
-    common(p_rep)
-    p_rep.add_argument("--delta", type=float, help="dwell for example-2.1")
-    p_rep.add_argument("--n", type=int, help="cascade depth for remark-3.2")
-    p_rep.add_argument("--p", type=float, help="L^p exponent for remark-3.2")
+    p_rep.add_argument("--delta", type=float, dest="params.delta", help="dwell for example-2.1")
+    p_rep.add_argument("--n", type=int, dest="params.n", help="cascade depth for remark-3.2")
+    p_rep.add_argument("--p", type=float, dest="params.p", help="L^p exponent for remark-3.2")
 
-    args = parser.parse_args(argv)
-    raw = _load_config_arg(args)
-    raw["task"] = args.command.replace("-", "_") if args.command != "reproduce" else "reproduce"
-    if args.command == "reproduce":
-        raw["example"] = args.example
-        params = raw.setdefault("params", {})
-        for key in ("delta", "n", "p"):
-            if getattr(args, key, None) is not None:
-                params[key] = getattr(args, key)
-    for key in ("seed", "horizon", "dt", "n_samples"):
-        if getattr(args, key, None) is not None:
-            raw[key] = getattr(args, key)
-    if getattr(args, "out", None):
-        raw["out_dir"] = args.out
-    if getattr(args, "dwells", None):
-        fam = raw.setdefault("family", {})
-        fam["dwells"] = [float(v) for v in args.dwells.split(",")]
-    if getattr(args, "max_switches", None) is not None:
-        raw.setdefault("family", {})["max_switches"] = args.max_switches
-
-    config, errors = validate_config(raw)
+    flags = vars(parser.parse_args(argv))
+    path = flags.pop("config")
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    overrides["task"] = overrides.pop("command").replace("-", "_")
+    try:
+        text = Path(path).read_text() if path else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"config: cannot read ({exc})", file=sys.stderr)
+        return 2
+    config, errors = validate_config(text, overrides)
     if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
+        print("\n".join(errors), file=sys.stderr)
         return 2
     return run(config)
 

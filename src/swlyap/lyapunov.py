@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import DecayBound
-from .errors import ContractViolation
+from .errors import ContractViolation, EstimationError
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
 from .switching import (
@@ -106,6 +106,8 @@ def _adaptive_simpson(g, a: float, b: float) -> float:
     The budget is split classically (eps halves with the interval), which both
     terminates on dead stretches of a decayed integrand and keeps refinement
     decisions scale-invariant, so scaling the integrand scales the result.
+    A step that is not finite raises EstimationError: no refinement could
+    converge on it.
     """
     fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -118,6 +120,8 @@ def _adaptive_simpson(g, a: float, b: float) -> float:
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         fine = left + right
+        if not math.isfinite(fine):
+            raise EstimationError(f"matrix energy integrand is not finite on [{a:g}, {b:g}]")
         if depth <= 0 or abs(fine - whole) <= 15.0 * eps:
             return fine + (fine - whole) / 15.0
         return rec(a, m, fa, flm, fm, left, 0.5 * eps, depth - 1) + rec(
@@ -228,8 +232,13 @@ def trajectory_cost(
         raise ContractViolation("horizon must be positive")
     plan, final_state = _walk_segments(sys, sig, horizon, x)
     total = 0.0
-    for mode, dwell, start, end in plan:
-        total += _segment_energy(sys, mode, dwell, start, end)
+    try:
+        for mode, dwell, start, end in plan:
+            total += _segment_energy(sys, mode, dwell, start, end)
+    except OverflowError:  # a closed form left the double range
+        total = math.inf
+    if not math.isfinite(total):
+        raise EstimationError("trajectory energy is not finite")
     tail = None
     if decay is not None:
         n2 = state_norm(final_state, sys.norm) ** 2

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ContractViolation, StructuralError, UnsupportedOperation
+from .errors import ContractViolation, EstimationError, StructuralError, UnsupportedOperation
 from .state_space import PiecewiseConstantFn, canonicalize
 
 __all__ = [
@@ -241,6 +241,13 @@ def transport_events(mode, f: PiecewiseConstantFn, d: float) -> list:
 # -- public operations ---------------------------------------------------------
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EstimationError(f"e^{x:g} overflows a double") from None
+
+
 def apply(mode, t: float, x):
     """Evolve the state ``x`` by ``mode`` for duration ``t >= 0``.
 
@@ -257,7 +264,7 @@ def apply(mode, t: float, x):
                 f"state dimension {x.shape} does not match mode dimension {mode.dim}"
             )
         if mode.dim == 1:
-            return x * math.exp(mode.rows[0][0] * t)
+            return x * _exp(mode.rows[0][0] * t)
         return _expm(mode.matrix, t) @ x
     if isinstance(mode, DiagonalGroupMode):
         scale = math.exp(-mode.mu * t)
@@ -286,7 +293,7 @@ def apply_adjoint(mode, t: float, x: np.ndarray) -> np.ndarray:
     if not isinstance(x, np.ndarray) or x.shape != (mode.dim,):
         raise StructuralError("adjoint evolution needs a coordinate state of matching dim")
     if mode.dim == 1:
-        return x * math.exp(mode.rows[0][0] * t)
+        return x * _exp(mode.rows[0][0] * t)
     return _expm(np.ascontiguousarray(mode.matrix.T), t) @ x
 
 
@@ -296,7 +303,7 @@ def group_inverse_norm(mode, t: float) -> float:
         raise UnsupportedOperation("inverse-flow norm is only defined for group modes")
     if t < 0:
         raise ContractViolation("t must be nonnegative")
-    return math.exp(mode.mu * t)
+    return _exp(mode.mu * t)
 
 
 # -- serialization --------------------------------------------------------------
@@ -325,14 +332,17 @@ def mode_from_json(obj: dict):
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise StructuralError("mode JSON needs a 'kind' field") from exc
-    if kind == "matrix":
-        return matrix_mode(obj["A"])
-    if kind == "shift_amplify":
-        lo, hi = obj["domain"]
-        alo, ahi = obj["amplify"]
-        return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, obj["factor"])
-    if kind == "diagonal_group":
-        return DiagonalGroupMode(obj["mu"])
-    if kind == "half_line_shift":
-        return HalfLineShiftMode()
+    try:
+        if kind == "matrix":
+            return matrix_mode(obj["A"])
+        if kind == "shift_amplify":
+            lo, hi = obj["domain"]
+            alo, ahi = obj["amplify"]
+            return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, obj["factor"])
+        if kind == "diagonal_group":
+            return DiagonalGroupMode(obj["mu"])
+        if kind == "half_line_shift":
+            return HalfLineShiftMode()
+    except KeyError as exc:
+        raise StructuralError(f"{kind} mode JSON needs a {exc} field") from exc
     raise StructuralError(f"unknown mode kind {kind!r}")

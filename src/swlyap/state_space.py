@@ -74,8 +74,6 @@ class PiecewiseConstantFn:
             prev = b
         if self.breaks and self.breaks[-1] > self.domain_hi:
             raise StructuralError("breakpoints must lie within the domain")
-        if self.breaks and self.breaks[0] < self.domain_lo:
-            raise StructuralError("breakpoints must lie within the domain")
 
     # -- constructors ---------------------------------------------------
 
@@ -185,11 +183,8 @@ def canonicalize(f: PiecewiseConstantFn) -> PiecewiseConstantFn:
     Idempotent; returns ``f`` itself when it is already canonical, so the
     result compares equal structurally iff it is equal as a function.
     """
+    # a valid domain has positive width, so some piece survives
     pieces = [(lo, hi, v) for lo, hi, v in f.pieces() if hi > lo]
-    if not pieces:
-        # degenerate: every piece had zero width, which cannot happen for a
-        # valid domain; keep a single zero piece for safety
-        return PiecewiseConstantFn.zero(f.domain_lo, f.domain_hi)
     merged = [list(pieces[0])]
     for lo, hi, v in pieces[1:]:
         if v == merged[-1][2]:
@@ -271,5 +266,8 @@ def state_norm(x, spec: NormSpec) -> float:
     if isinstance(x, np.ndarray):
         if spec.kind != "euclidean":
             raise StructuralError("coordinate states require a Euclidean norm spec")
-        return float(np.linalg.norm(x))
+        n = float(np.linalg.norm(x))
+        if not math.isfinite(n):
+            raise InvalidStateError("coordinate state norm is not finite")
+        return n
     raise StructuralError(f"unknown state type {type(x).__name__}")

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ContractViolation, FamilySizeError, StructuralError
-from .semigroups import MatrixMode, apply, mode_state_kind
+from .errors import ContractViolation, FamilySizeError, StructuralError, SwlyapError
+from .semigroups import MatrixMode, apply, mode_from_json, mode_state_kind
 from .state_space import NormSpec, state_norm
 
 __all__ = [
@@ -39,7 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwitchingSignal:
-    """(mode, dwell) segments followed by a tail mode active forever."""
+    """(mode, dwell) segments followed by a tail mode active forever.
+
+    Errors name the offending field as a path, e.g. ``segments[1].dwell``.
+    """
 
     segments: tuple = ()
     tail_mode: int = 0
@@ -50,22 +53,11 @@ class SwitchingSignal:
         object.__setattr__(self, "tail_mode", int(self.tail_mode))
         for i, (m, d) in enumerate(segs):
             if m < 0:
-                raise StructuralError(f"segment {i}: mode id must be nonnegative")
+                raise StructuralError(f"segments[{i}].mode: must be nonnegative")
             if not (d > 0 and math.isfinite(d)):
-                raise StructuralError(f"segment {i}: dwell must be strictly positive")
+                raise StructuralError(f"segments[{i}].dwell: must be strictly positive")
         if self.tail_mode < 0:
-            raise StructuralError("tail mode id must be nonnegative")
-
-    @property
-    def n_switches(self) -> int:
-        return len(self.segments)
-
-    def switch_times(self) -> tuple:
-        out, acc = [], 0.0
-        for _, d in self.segments:
-            acc += d
-            out.append(acc)
-        return tuple(out)
+            raise StructuralError("tail: must be nonnegative")
 
     def active_mode(self, t: float) -> int:
         """Mode active at time t (right-continuous)."""
@@ -89,6 +81,8 @@ class SwitchingSignal:
     def from_json(cls, obj: dict) -> "SwitchingSignal":
         try:
             return cls(tuple((m, d) for m, d in obj["segments"]), obj["tail"])
+        except SwlyapError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"bad signal JSON: {exc}") from exc
 
@@ -115,6 +109,23 @@ class SwitchedSystem:
         dims = {m.dim for m in self.modes if isinstance(m, MatrixMode)}
         if len(dims) > 1:
             raise StructuralError(f"matrix modes have different dimensions: {sorted(dims)}")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SwitchedSystem":
+        """Modes from ``obj["modes"]``, named ``modes[i]`` in errors.  The norm
+        defaults to L^2 for function-space modes and is Euclidean otherwise."""
+        if not isinstance(obj["modes"], list):
+            raise StructuralError("modes: expected a list of mode objects")
+        modes = []
+        for i, mode in enumerate(obj["modes"]):
+            try:
+                modes.append(mode_from_json(mode))
+            except (SwlyapError, TypeError, ValueError) as exc:
+                raise StructuralError(f"modes[{i}]: {exc}") from exc
+        if "norm" in obj:
+            return cls(tuple(modes), NormSpec.from_json(obj["norm"]))
+        kinds = {mode_state_kind(m) for m in modes} - {"any"}
+        return cls(tuple(modes), NormSpec(2.0) if kinds == {"function"} else NormSpec.euclidean())
 
     @property
     def n_modes(self) -> int:

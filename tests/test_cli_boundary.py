@@ -1,0 +1,232 @@
+"""The CLI boundary: every malformed config exits 2 with its field path, every
+numerical failure exits 1 with a message, and none prints a traceback."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swlyap.cli import RunConfig, main, validate_config
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+PAIR = {
+    "modes": [
+        {"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -2.0]]},
+        {"kind": "matrix", "A": [[-2.0, 0.0], [0.0, -1.0]]},
+    ]
+}
+UNIT = {"coords": [1.0, 1.0]}
+SMALL_FAMILY = {"dwells": [0.5], "max_switches": 1}
+MISSING = object()  # no config file at the given path
+
+
+def pair_config(**fields):
+    return {"system": PAIR, "state": UNIT, "family": SMALL_FAMILY, **fields}
+
+
+def scalar_config(a):
+    return {"system": {"modes": [{"kind": "matrix", "A": [[a]]}]}, "state": {"coords": [1.0]}}
+
+
+# (id, argv, config document, exit code, stderr prefix)
+PROBES = [
+    ("modes-not-a-list", ["worst-case"], {"system": {"modes": 5}, "state": UNIT}, 2,
+     "system.modes: "),
+    ("norm-not-an-object", ["worst-case"], pair_config(system={**PAIR, "norm": 5}), 2,
+     "system: "),
+    ("family-a-list", ["worst-case"], pair_config(family=[1]), 2, "family: "),
+    ("family-dwells-text", ["worst-case"], pair_config(family={"dwells": "abc"}), 2, "family: "),
+    ("family-max-switches-text", ["worst-case"], pair_config(family={"max_switches": "x"}), 2,
+     "family: "),
+    ("signal-segments-a-number", ["simulate"],
+     pair_config(signal={"segments": 3, "tail": 0}), 2, "signal: "),
+    ("state-coords-text", ["worst-case"], pair_config(state={"coords": "ab"}), 2, "state: "),
+    ("delta-text", ["reproduce", "example-2.1"], {"params": {"delta": "a"}}, 2,
+     "params.delta: "),
+    ("delta-zero", ["reproduce", "example-2.1"], {"params": {"delta": 0}}, 2, "params.delta: "),
+    ("delta-too-fine", ["reproduce", "example-2.1"], {"params": {"delta": 1 / 128}}, 2,
+     "params.delta: "),
+    ("n-text", ["reproduce", "remark-3.2"], {"params": {"n": "a"}}, 2, "params.n: "),
+    ("n-too-deep", ["reproduce", "remark-3.2"], {"params": {"n": 26}}, 2, "params.n: "),
+    ("n-fractional", ["reproduce", "remark-3.2"], {"params": {"n": 4.5}}, 2, "params.n: "),
+    ("p-below-one", ["reproduce", "remark-3.2"], {"params": {"p": 0.5}}, 2, "params.p: "),
+    ("certify-nothing-to-sample", ["certify"],
+     {"system": {"modes": [{"kind": "diagonal_group", "mu": 1.0}]}}, 2, "system.modes: "),
+    ("config-file-missing", ["worst-case"], MISSING, 2, "config: cannot read"),
+    ("config-invalid-json", ["worst-case"], "{not json", 2, "config: invalid JSON"),
+    ("config-top-level-list", ["worst-case"], [1, 2], 2, "config: expected a JSON object"),
+    ("state-wrong-dimension", ["worst-case"], pair_config(state={"coords": [1.0, 2.0, 3.0]}), 2,
+     "state: state dimension"),
+    ("state-piecewise-for-matrix-modes", ["worst-case"],
+     pair_config(state={"domain": [0, 1], "breaks": [], "values": [1.0]}), 2, "state: "),
+    ("family-mode-out-of-range", ["worst-case"], pair_config(family={"modes": [0, 5]}), 2,
+     "family: mode id 5 out of range"),
+    ("signal-mode-out-of-range", ["simulate"],
+     pair_config(signal={"segments": [[3, 0.5]], "tail": 0}), 2,
+     "signal: mode id 3 out of range"),
+    ("signal-negative-dwell", ["simulate"],
+     pair_config(signal={"segments": [[0, 0.5], [1, -1.0]], "tail": 0}), 2,
+     "signal.segments[1].dwell: "),
+    ("horizon-true", ["worst-case"], pair_config(horizon=True), 2, "horizon: "),
+    ("nested-boolean", ["worst-case"], {**scalar_config(-1.0), "state": {"coords": [True]}}, 2,
+     "state.coords[0]: "),
+    ("seed-negative", ["certify"], {"system": PAIR, "seed": -1}, 2, "seed: "),
+    ("seed-huge-integer", ["worst-case"], pair_config(horizon=10**400), 2, "horizon: "),
+    ("matrix-text", ["worst-case"], {"system": {"modes": [{"kind": "matrix", "A": "zz"}]},
+                                     "state": {"coords": [1.0]}}, 2, "system.modes[0]: "),
+    ("mode-missing-field", ["worst-case"], {"system": {"modes": [{"kind": "matrix"}]},
+                                            "state": {"coords": [1.0]}}, 2,
+     "system.modes[0]: matrix mode JSON needs a 'A' field"),
+    ("modes-missing", ["worst-case"], {"system": {}, "state": UNIT}, 2, "system.modes: required"),
+    ("out-dir-a-number", ["worst-case"], pair_config(out_dir=5), 2, "out_dir: "),
+    ("scalar-overflow-worst-case", ["worst-case"], scalar_config(1000.0), 1,
+     "error in worst_case: "),
+    ("scalar-overflow-certify", ["certify"], {**scalar_config(1000.0), "n_samples": 1}, 1,
+     "error in certify: "),
+    ("scalar-energy-overflow", ["worst-case"], scalar_config(40.0), 1, "error in worst_case: "),
+]
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    if doc is not MISSING:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, prefix", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES]
+)
+def test_probe(tmp_path, capsys, monkeypatch, argv, doc, code, prefix):
+    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+    path = write_config(tmp_path, doc)
+    out = [] if isinstance(doc, dict) and "out_dir" in doc else ["--out", str(tmp_path / "out")]
+    assert main([*argv, "--config", str(path), *out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+def test_non_finite_matrix_energy_exits_1_without_hanging(tmp_path):
+    # At e^{300 t} the adaptive Simpson integrand overflows; refining it used
+    # to recurse 2^36 times instead of failing.
+    doc = {"system": {"modes": [{"kind": "matrix", "A": [[300.0, 0.0], [0.0, 1.0]]}]},
+           "state": UNIT}
+    path = write_config(tmp_path, doc)
+    cmd = "import sys; from swlyap.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", cmd, "worst-case", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    # numpy's overflow warnings may come first
+    assert proc.stderr.splitlines()[-1].startswith("error in worst_case: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_flags_override_config_fields(tmp_path):
+    doc = pair_config(family=None, horizon=4.0)
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = ["worst-case", "--config", str(path), "--dwells", "0.5,1", "--max-switches", "0",
+            "--horizon", "2", "--out", str(out)]
+    assert main(argv) == 0
+    est = json.loads((out / "estimate.json").read_text())
+    assert est["horizon"] == 2.0
+    assert est["witness"]["segments"] == []
+
+
+def test_flag_into_malformed_section_reports_the_section(tmp_path, capsys):
+    path = write_config(tmp_path, pair_config(family=[1]))
+    assert main(["worst-case", "--config", str(path), "--dwells", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("family: ")
+
+
+def test_unparsable_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["worst-case", "--dwells", "a,b"])
+    assert exc.value.code == 2
+    assert "--dwells" in capsys.readouterr().err
+
+
+def test_params_are_parsed_once():
+    cfg, errors = validate_config({"task": "reproduce", "example": "remark-3.2",
+                                   "params": {"n": 5.0}})
+    assert errors == []
+    assert cfg.params == {"n": 5, "p": 2.0}
+    assert isinstance(cfg.params["n"], int)
+
+
+# -- fuzzing ------------------------------------------------------------------------
+
+BASES = {
+    "simulate": {
+        "task": "simulate",
+        "system": {"modes": [{"kind": "matrix", "A": [[-1.0, 0.5], [0.0, -2.0]]},
+                             {"kind": "diagonal_group", "mu": 1.0}]},
+        "signal": {"segments": [[0, 0.5], [1, 0.25]], "tail": 0},
+        "state": {"coords": [1.0, -1.0]},
+        "family": {"dwells": [0.5], "max_switches": 1, "modes": [0, 1]},
+        "horizon": 2.0,
+        "dt": 0.5,
+        "seed": 1,
+        "n_samples": 2,
+    },
+    "certify": {
+        "task": "certify",
+        "system": {"modes": [{"kind": "shift_amplify", "domain": [0.0, 1.0],
+                              "direction": "left", "amplify": [0.0, 0.25], "factor": 2.0}],
+                   "norm": {"kind": "lp", "p": 2.0}},
+        "state": {"domain": [0.0, 1.0], "breaks": [0.5], "values": [1.0, 2.0]},
+    },
+    "reproduce": {"task": "reproduce", "example": "remark-3.2", "params": {"n": 3, "p": 2.0},
+                  "out_dir": "out"},
+}
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, prefix + (i,))
+
+
+FIELDS = [(name, path) for name, doc in BASES.items() for path in _paths(doc) if path]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _replace(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+def test_validate_config_never_raises(field, value):
+    name, path = field
+    cfg, errors = validate_config(_replace(BASES[name], path, value))
+    if cfg is None:
+        assert errors and all(isinstance(e, str) and ": " in e for e in errors)
+    else:
+        assert isinstance(cfg, RunConfig) and errors == []
+        assert math.isfinite(cfg.horizon) and cfg.horizon > 0

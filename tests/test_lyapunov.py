@@ -6,6 +6,7 @@ import pytest
 from swlyap import (
     ContractViolation,
     DecayBound,
+    EstimationError,
     NormSpec,
     PiecewiseConstantFn,
     SignalFamily,
@@ -289,3 +290,21 @@ class TestAugmentation:
     def test_invalid_mu(self):
         with pytest.raises(ContractViolation):
             augment_system(SCALARS, 0.0)
+
+
+class TestNonFiniteEnergies:
+    def test_scalar_energy_overflow(self):
+        # e^{40 t} itself stays finite to t = 10, its energy e^{80 t} does not
+        sys_ = scalar_mode_system((40.0,))
+        with pytest.raises(EstimationError, match="trajectory energy is not finite"):
+            trajectory_cost(sys_, CONST0, euclidean_state([1.0]), 10.0)
+
+    def test_non_finite_simpson_step_fails_fast(self):
+        sys_ = SwitchedSystem((matrix_mode([[300.0, 0.0], [0.0, 1.0]]),), NormSpec.euclidean())
+        with pytest.raises(EstimationError, match="not finite"):
+            trajectory_cost(sys_, CONST0, euclidean_state([1.0, 1.0]), 10.0)
+
+    def test_finite_terms_with_infinite_sum(self):
+        sys_ = scalar_mode_system((1.0,))
+        with pytest.raises(EstimationError, match="trajectory energy is not finite"):
+            trajectory_cost(sys_, CONST0, euclidean_state([1e154]), 10.0)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from swlyap import (
     ContractViolation,
     DiagonalGroupMode,
+    EstimationError,
     HalfLineShiftMode,
     NormSpec,
     PiecewiseConstantFn,
@@ -249,3 +250,22 @@ def test_mode_validation():
         DiagonalGroupMode(-1.0)
     with pytest.raises(StructuralError):
         matrix_mode([[1.0, 2.0]])
+
+
+def test_mode_json_names_missing_field():
+    with pytest.raises(StructuralError, match="matrix mode JSON needs a 'A' field"):
+        mode_from_json({"kind": "matrix"})
+    with pytest.raises(StructuralError, match="'factor'"):
+        mode_from_json({"kind": "shift_amplify", "domain": [0, 1], "direction": "left",
+                        "amplify": [0, 0.5]})
+
+
+def test_scalar_exponential_overflow_is_an_estimation_error():
+    mode, x = matrix_mode([[1000.0]]), euclidean_state([1.0])
+    assert apply(mode, 0.5, x)[0] == pytest.approx(math.exp(500.0))
+    with pytest.raises(EstimationError, match="overflows"):
+        apply(mode, 1.0, x)
+    with pytest.raises(EstimationError, match="overflows"):
+        apply_adjoint(mode, 1.0, x)
+    with pytest.raises(EstimationError, match="overflows"):
+        group_inverse_norm(DiagonalGroupMode(1000.0), 1.0)

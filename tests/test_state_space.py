@@ -142,6 +142,8 @@ class TestStates:
         f = PiecewiseConstantFn.constant(0.0, 1.0, 1.0)
         with pytest.raises(StructuralError):
             state_norm(f, NormSpec.euclidean())
+        with pytest.raises(InvalidStateError, match="not finite"):
+            state_norm(np.array([1e200, 1.0]), NormSpec.euclidean())
 
     def test_norm_spec_validation(self):
         with pytest.raises(StructuralError):

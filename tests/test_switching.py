@@ -218,6 +218,35 @@ class TestSystemValidation:
         with pytest.raises(StructuralError):
             SwitchingSignal(((0, 1.0),), -1)
 
+    def test_signal_errors_name_the_field(self):
+        with pytest.raises(StructuralError, match=r"^segments\[1\]\.dwell: "):
+            SwitchingSignal(((0, 1.0), (1, -0.5)), 0)
+        with pytest.raises(StructuralError, match=r"^segments\[0\]\.mode: "):
+            SwitchingSignal(((-1, 1.0),), 0)
+        with pytest.raises(StructuralError, match="^tail: "):
+            SwitchingSignal((), -1)
+        # from_json passes the constructor's error through unwrapped
+        with pytest.raises(StructuralError, match=r"^segments\[0\]\.dwell: "):
+            SwitchingSignal.from_json({"segments": [[0, 0.0]], "tail": 0})
+        with pytest.raises(StructuralError, match="^bad signal JSON"):
+            SwitchingSignal.from_json({"segments": 3, "tail": 0})
+
+    def test_system_from_json(self):
+        pair = SwitchedSystem.from_json(
+            {"modes": [{"kind": "matrix", "A": [[-1.0]]}, {"kind": "diagonal_group", "mu": 1.0}]}
+        )
+        assert pair.norm == NormSpec.euclidean() and pair.n_modes == 2
+        transport = SwitchedSystem.from_json({"modes": [{"kind": "half_line_shift"}]})
+        assert transport.norm == NormSpec(2.0)
+        l1 = SwitchedSystem.from_json(
+            {"modes": [{"kind": "half_line_shift"}], "norm": {"kind": "lp", "p": 1.0}}
+        )
+        assert l1.norm == NormSpec(1.0)
+        with pytest.raises(StructuralError, match=r"^modes\[1\]: unknown mode kind"):
+            SwitchedSystem.from_json({"modes": [{"kind": "half_line_shift"}, {"kind": "x"}]})
+        with pytest.raises(StructuralError, match="^modes: expected a list"):
+            SwitchedSystem.from_json({"modes": 5})
+
     def test_signal_json_roundtrip(self):
         sig = SwitchingSignal(((0, 0.5), (1, 0.25)), 1)
         assert SwitchingSignal.from_json(sig.to_json()) == sig
