@@ -69,6 +69,11 @@ _PARAMS = {
     "half-line-shift": {},
 }
 EXAMPLES = tuple(_PARAMS)
+# The sections the library constructors build, and their fields that hold text.
+_BUILT = ("system", "signal", "state", "family")
+_TEXT_FIELDS = ("kind", "direction")
+# The most time points `simulate` evaluates, horizon/dt + 1; each is evolved from t = 0.
+_GRID_LIMIT = 1_000_000
 # A library message that starts with a field path, as in "segments[1].dwell: ...".
 _SUBPATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 
@@ -118,15 +123,26 @@ def _number(value, cast, accepts, requirement):
     raise ValueError(f"must be {requirement}")
 
 
-def _booleans(obj, path):
-    """Paths of the booleans in ``obj``; no config field takes one."""
-    if isinstance(obj, bool):
-        return [path]
+def _leaves(obj, path, pick):
+    """Paths of the leaves of the JSON value ``obj`` that ``pick(leaf, path)`` accepts."""
     if isinstance(obj, dict):
-        return [b for k, v in obj.items() for b in _booleans(v, f"{path}.{k}" if path else k)]
+        return [p for k, v in obj.items() for p in _leaves(v, f"{path}.{k}" if path else k, pick)]
     if isinstance(obj, list):
-        return [b for i, v in enumerate(obj) for b in _booleans(v, f"{path}[{i}]")]
-    return []
+        return [p for i, v in enumerate(obj) for p in _leaves(v, f"{path}[{i}]", pick)]
+    return [path] if pick(obj, path) else []
+
+
+def _numeric_string(value, path):
+    """A string outside a text field that reads as a number, which the library
+    constructors would convert silently; any other string where a number
+    belongs fails the constructor itself."""
+    if not isinstance(value, str) or path.rpartition(".")[2] in _TEXT_FIELDS:
+        return False
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _state(obj, system):
@@ -193,7 +209,15 @@ def validate_config(raw, overrides=None):
     if not isinstance(raw, dict):
         return None, ["config: expected a JSON object"]
     raw = _merged(raw, overrides or {})
-    errors = [f"{path}: booleans are not accepted" for path in _booleans(raw, "")]
+    errors = [
+        f"{path}: booleans are not accepted"
+        for path in _leaves(raw, "", lambda value, _: isinstance(value, bool))
+    ]
+    errors += [
+        f"{path}: must be a number, not a string"
+        for section in _BUILT if isinstance(raw.get(section), dict)
+        for path in _leaves(raw[section], section, _numeric_string)
+    ]
 
     task = raw.get("task")
     if task not in TASKS:
@@ -224,6 +248,9 @@ def validate_config(raw, overrides=None):
         system = _field(errors, raw, "system", True, SwitchedSystem.from_json)
     if task == "simulate":
         signal = _field(errors, raw, "signal", True, _signal, system)
+        horizon, dt = scalars["horizon"], scalars["dt"]  # positive, or None on error
+        if horizon and dt and horizon / dt + 1 > _GRID_LIMIT:
+            errors.append(f"dt: horizon/dt + 1 time points exceed {_GRID_LIMIT:,}")
     state = _field(errors, raw, "state", task in ("simulate", "worst_case"), _state, system)
     if system is not None:
         family = _parse(errors, "family", _family, raw.get("family"), system)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import expm
@@ -160,42 +161,75 @@ def _system_dim(sys: SwitchedSystem) -> int:
     raise UnsupportedOperation("Gram operators need at least one matrix mode")
 
 
+class _Assembler:
+    """Gram operators of one system's signals, each shared piece computed once.
+
+    Three memos, fresh for each assembler: ``(E, Phi)`` of one segment per
+    ``(mode_id, dwell)``, the tail solution ``P`` per tail mode, and the
+    partial sums ``(B, Phi)`` per segment prefix, kept as a trie that a signal
+    walks and extends iteratively.  Every entry is a new array that is never
+    written to.  A prefix's ``(B, Phi)`` are formed by the same operations, in
+    the same order, as the plain loop over one signal from t = 0
+    (``B + Phi' E Phi``, then ``F Phi``), so the operators are bit-identical.
+    """
+
+    def __init__(self, sys: SwitchedSystem):
+        self.sys = sys
+        self.dim = dim = _system_dim(sys)
+        self.steps = {}
+        self.tails = {}
+        self.root = (np.zeros((dim, dim)), np.eye(dim), {})  # (B, Phi, children)
+
+    def _matrix(self, mode_id) -> np.ndarray:
+        return _mode_matrix(self.sys.mode(mode_id), self.dim)
+
+    def _step(self, seg) -> tuple:
+        if seg not in self.steps:
+            mode_id, dwell = seg
+            A = self._matrix(mode_id)
+            self.steps[seg] = (segment_energy(A, dwell), expm(A * dwell))
+        return self.steps[seg]
+
+    def _tail(self, mode_id) -> np.ndarray:
+        if mode_id not in self.tails:
+            A = self._matrix(mode_id)
+            try:
+                self.tails[mode_id] = lyapunov_solve(A, np.eye(self.dim))
+            except UnstableTailError as exc:
+                raise UnstableTailError(f"tail mode {mode_id} is not Hurwitz: {exc}") from exc
+        return self.tails[mode_id]
+
+    def gram(self, sig: SwitchingSignal) -> GramOperator:
+        node = self.root
+        for seg in sig.segments:
+            B, Phi, children = node
+            if seg not in children:
+                E, F = self._step(seg)
+                children[seg] = (B + Phi.T @ E @ Phi, F @ Phi, {})
+            node = children[seg]
+        B, Phi, _ = node
+        B = B + Phi.T @ self._tail(sig.tail_mode) @ Phi
+        return GramOperator(0.5 * (B + B.T), sig)
+
+
 def gram_of_signal(sys: SwitchedSystem, sig: SwitchingSignal) -> GramOperator:
     """Assemble the trajectory-energy operator of one signal.
 
     The tail mode must be Hurwitz; otherwise the infinite-horizon energy does
     not exist and the signal is rejected rather than silently truncated.
     """
-    dim = _system_dim(sys)
-    B = np.zeros((dim, dim))
-    Phi = np.eye(dim)
-    for mode_id, dwell in sig.segments:
-        Ak = _mode_matrix(sys.mode(mode_id), dim)
-        B += Phi.T @ segment_energy(Ak, dwell) @ Phi
-        Phi = expm(Ak * dwell) @ Phi
-    A_tail = _mode_matrix(sys.mode(sig.tail_mode), dim)
-    try:
-        P = lyapunov_solve(A_tail, np.eye(dim))
-    except UnstableTailError as exc:
-        raise UnstableTailError(f"tail mode {sig.tail_mode} is not Hurwitz: {exc}") from exc
-    B += Phi.T @ P @ Phi
-    return GramOperator(0.5 * (B + B.T), sig)
+    return _Assembler(sys).gram(sig)
 
 
 def candidates_from_family(
     sys: SwitchedSystem, fam: SignalFamily | None = None, extra_signals=()
 ) -> CandidateSet:
-    """Gram operators of every family signal plus any user-supplied signals."""
+    """Gram operators of every family signal plus any user-supplied signals,
+    in enumeration order, sharing segments, tails and prefixes across signals."""
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
-    cands = [gram_of_signal(sys, sig) for sig in enumerate_family(fam)]
-    cands += [gram_of_signal(sys, sig) for sig in extra_signals]
-    if not cands:
-        raise StructuralError("candidate set must be nonempty")
-    dims = {c.dim for c in cands}
-    if len(dims) != 1:
-        raise StructuralError("candidate Gram operators must share one dimension")
-    return tuple(cands)
+    signals = chain(enumerate_family(fam), extra_signals)  # a FamilySizeError comes first
+    return tuple(map(_Assembler(sys).gram, signals))
 
 
 def v_max(cands: CandidateSet, x: np.ndarray) -> float:

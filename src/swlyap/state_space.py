@@ -267,6 +267,10 @@ def state_norm(x, spec: NormSpec) -> float:
         if spec.kind != "euclidean":
             raise StructuralError("coordinate states require a Euclidean norm spec")
         n = float(np.linalg.norm(x))
+        if math.isinf(n) and np.isfinite(x).all():
+            # the plain norm squares unscaled and overflows past ~1.3e154
+            s = float(np.max(np.abs(x)))
+            n = s * float(np.linalg.norm(x / s))
         if not math.isfinite(n):
             raise InvalidStateError("coordinate state norm is not finite")
         return n

@@ -85,6 +85,19 @@ PROBES = [
      "system.modes[0]: matrix mode JSON needs a 'A' field"),
     ("modes-missing", ["worst-case"], {"system": {}, "state": UNIT}, 2, "system.modes: required"),
     ("out-dir-a-number", ["worst-case"], pair_config(out_dir=5), 2, "out_dir: "),
+    ("family-numeric-strings", ["worst-case"],
+     pair_config(family={"dwells": "25", "max_switches": "1"}), 2,
+     "family.dwells: must be a number"),
+    ("coords-numeric-string", ["worst-case"], pair_config(state={"coords": ["2", 1.0]}), 2,
+     "state.coords[0]: must be a number"),
+    ("matrix-numeric-string", ["worst-case"],
+     {"system": {"modes": [{"kind": "matrix", "A": [["-1"]]}]}, "state": {"coords": [1.0]}},
+     2, "system.modes[0].A[0][0]: must be a number"),
+    ("segments-numeric-strings", ["simulate"],
+     pair_config(signal={"segments": [["0", "0.5"]], "tail": 0}), 2,
+     "signal.segments[0][0]: must be a number"),
+    ("simulate-grid-too-fine", ["simulate"],
+     pair_config(signal={"segments": [], "tail": 0}, dt=1e-8, horizon=10.0), 2, "dt: "),
     ("scalar-overflow-worst-case", ["worst-case"], scalar_config(1000.0), 1,
      "error in worst_case: "),
     ("scalar-overflow-certify", ["certify"], {**scalar_config(1000.0), "n_samples": 1}, 1,
@@ -154,6 +167,25 @@ def test_unparsable_flag_is_an_argparse_error(capsys):
         main(["worst-case", "--dwells", "a,b"])
     assert exc.value.code == 2
     assert "--dwells" in capsys.readouterr().err
+
+
+def test_numeric_strings_are_rejected_only_where_numbers_belong():
+    doc = {**BASES["certify"], "system": {**BASES["certify"]["system"],
+                                          "norm": {"kind": "lp", "p": "2"}}}
+    assert validate_config(doc)[1] == ["system.norm.p: must be a number, not a string"]
+    # text fields keep their strings; a mode kind that reads as a number is
+    # still only an unknown kind
+    assert validate_config(BASES["certify"])[1] == []
+    doc = {**BASES["simulate"], "system": {"modes": [{"kind": "1"}]}}
+    assert validate_config(doc)[1] == ["system.modes[0]: unknown mode kind '1'"]
+
+
+def test_simulate_grid_bound_sits_at_the_limit():
+    base = {**BASES["simulate"], "horizon": 1.0}
+    assert validate_config({**base, "dt": 1.0 / 999_998})[1] == []
+    assert validate_config({**base, "dt": 1.0 / 1_000_000})[1][0].startswith("dt: ")
+    # dt is used by simulate only
+    assert validate_config({**BASES["certify"], "dt": 1e-12})[1] == []
 
 
 def test_params_are_parsed_once():

@@ -1,18 +1,25 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from swlyap import (
     ContractViolation,
     DegenerateInputError,
+    DiagonalGroupMode,
+    NormSpec,
     SignalFamily,
     StructuralError,
+    SwitchedSystem,
     SwitchingSignal,
     UnstableTailError,
     argmax_set,
     candidates_from_family,
     directional_derivative,
+    enumerate_family,
     euclidean_state,
     fit_decay,
     gram_of_signal,
@@ -22,6 +29,7 @@ from swlyap import (
     trajectory_cost,
     v_max,
 )
+from swlyap import gram
 from swlyap.gram import GramOperator
 from swlyap.presets import commuting_diag_pair, scalar_mode_system
 
@@ -167,6 +175,96 @@ class TestGramOfSignal:
         for c in cands:
             top = float(np.max(np.linalg.eigvalsh(c.B)))
             assert top <= bound * (1.0 + 1e-6)
+
+
+def reference_gram(sys_, sig):
+    """The plain per-signal loop: every signal assembled from t = 0."""
+    dim = gram._system_dim(sys_)
+    B = np.zeros((dim, dim))
+    Phi = np.eye(dim)
+    for mode_id, dwell in sig.segments:
+        Ak = gram._mode_matrix(sys_.mode(mode_id), dim)
+        B += Phi.T @ segment_energy(Ak, dwell) @ Phi
+        Phi = expm(Ak * dwell) @ Phi
+    A_tail = gram._mode_matrix(sys_.mode(sig.tail_mode), dim)
+    B += Phi.T @ lyapunov_solve(A_tail, np.eye(dim)) @ Phi
+    return 0.5 * (B + B.T)
+
+
+def three_mode_system(rng, dim=3):
+    return SwitchedSystem(
+        (
+            matrix_mode(random_hurwitz(rng, dim)),
+            DiagonalGroupMode(0.8),
+            matrix_mode(random_hurwitz(rng, dim)),
+        ),
+        NormSpec.euclidean(),
+    )
+
+
+def extra_signals(rng, n_modes, length):
+    """A long signal, off-grid and long dwells, and a family prefix with an off-grid step."""
+    return (
+        SwitchingSignal(
+            tuple((int(rng.integers(0, n_modes)), float(rng.choice([0.25, 0.7, 12.5])))
+                  for _ in range(length)),
+            0,
+        ),
+        SwitchingSignal(((1, 0.3), (0, 40.0)), 1),
+        SwitchingSignal(((0, 0.25), (1, 0.5), (0, 0.33)), 0),
+    )
+
+
+class TestMemoizedAssembly:
+    @pytest.mark.parametrize("n_modes, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_bit_identical_to_per_signal_loop(self, n_modes, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = three_mode_system(rng)
+        fam = SignalFamily((0.25, 0.5, 1.0), 2, tuple(range(n_modes)))
+        # longer than the recursion limit: the prefix walk must not recurse
+        extras = extra_signals(rng, n_modes, sys.getrecursionlimit() + 100)
+        cands = candidates_from_family(sys_, fam, extras)
+        signals = [*enumerate_family(fam), *extras]
+        assert [c.source_signal for c in cands] == signals
+        for c, sig in zip(cands, signals):
+            assert np.array_equal(c.B, reference_gram(sys_, sig)), sig
+            assert np.array_equal(gram_of_signal(sys_, sig).B, c.B)
+
+    def test_one_kernel_call_per_distinct_step_and_tail(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(gram, name, wrapper)
+
+        for name in ("expm", "segment_energy", "lyapunov_solve"):
+            counted(name, getattr(gram, name))
+        sys_ = three_mode_system(np.random.default_rng(4))
+        fam = SignalFamily((0.25, 0.5), 2, (0, 2))
+        extras = (SwitchingSignal(((1, 0.25), (0, 0.75)), 1),)
+        cands = candidates_from_family(sys_, fam, extras)
+        signals = [*enumerate_family(fam), *extras]
+        steps = {seg for sig in signals for seg in sig.segments}
+        tails = {sig.tail_mode for sig in signals}
+        assert len(cands) == len(signals) == 2 + 4 * 2 + 8 * 4 + 1
+        assert len(steps) == 6 and tails == {0, 1, 2}
+        # segment_energy takes one block exponential, the step one more
+        assert calls == {"segment_energy": 6, "expm": 12, "lyapunov_solve": 3}
+        # a fresh assembler per call: nothing is cached between calls
+        candidates_from_family(sys_, fam, extras)
+        assert calls == {"segment_energy": 12, "expm": 24, "lyapunov_solve": 6}
+
+    def test_unstable_tail_in_a_family_names_mode(self):
+        sys_ = scalar_mode_system((-1.0, 1.0))
+        with pytest.raises(UnstableTailError, match="tail mode 1 is not Hurwitz"):
+            candidates_from_family(sys_, SignalFamily((1.0,), 1, (0, 1)))
+        # the stable tail's signals alone assemble
+        cands = candidates_from_family(sys_, SignalFamily((1.0,), 0, (0,)),
+                                       (SwitchingSignal(((1, 1.0),), 0),))
+        assert len(cands) == 2
 
 
 class TestGramOperatorInvariants:

@@ -143,7 +143,23 @@ class TestStates:
         with pytest.raises(StructuralError):
             state_norm(f, NormSpec.euclidean())
         with pytest.raises(InvalidStateError, match="not finite"):
-            state_norm(np.array([1e200, 1.0]), NormSpec.euclidean())
+            state_norm(np.array([1.5e308, 1.5e308]), NormSpec.euclidean())
+
+    def test_state_norm_scales_past_the_square_range(self):
+        # squaring 1e155 overflows; the norm itself is well inside the double range
+        spec = NormSpec.euclidean()
+        assert state_norm(np.array([1e155, 1e155]), spec) == pytest.approx(
+            math.sqrt(2.0) * 1e155, rel=1e-15
+        )
+        assert state_norm(np.array([-1e200, 1.0]), spec) == 1e200
+        assert state_norm(np.array([1e308, 1e308]), spec) == pytest.approx(
+            math.sqrt(2.0) * 1e308, rel=1e-15
+        )
+        # ordinary states keep the plain norm's bits
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.standard_normal(3) * 10.0 ** rng.uniform(-100, 100)
+            assert state_norm(x, spec) == float(np.linalg.norm(x))
 
     def test_norm_spec_validation(self):
         with pytest.raises(StructuralError):
