@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 EMPIRICAL_PROVENANCE = "empirical - lower-confidence (majorizes samples, not the true sup)"
+_KAPPA_TOL = 0.05  # derivative slack: each quotient must stay below -||x||^2 (1 - _KAPPA_TOL)
+_GROWTH_CHECK_GRID = (0.5, 1.0, 2.0, 4.0)  # times at which a growth envelope is checked
+_T1_FACTOR = 1.01  # the Datko horizon t1 as a multiple of the dwell scale t0
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class FitRefusal:
     t: float
     value: float
     signal: object
-    witness: object
 
     def to_json(self) -> dict:
         return {
@@ -57,7 +59,11 @@ class FitRefusal:
 
 
 def _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals=()):
-    """Per time point, the sup norm ratio over (signal, witness) pairs."""
+    """Per time point ``(t, ratio, signal)``: the sup norm ratio over (signal,
+    witness) pairs, and its signal."""
+    time_grid = [float(t) for t in time_grid]
+    if not time_grid:
+        raise ContractViolation("need at least one time point")
     signals = list(enumerate_family(fam)) + list(extra_signals)
     wnorms = []
     for w in witnesses:
@@ -67,13 +73,13 @@ def _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals=()):
         wnorms.append(nw)
     samples = []
     for t in time_grid:
-        best, arg = 0.0, (None, None)
+        best, arg = 0.0, None
         for sig in signals:
             for w, nw in zip(witnesses, wnorms):
-                r = state_norm(evolve(sys, sig, float(t), w), sys.norm) / nw
+                r = state_norm(evolve(sys, sig, t, w), sys.norm) / nw
                 if r > best:
-                    best, arg = r, (sig, w)
-        samples.append((float(t), best, arg[0], arg[1]))
+                    best, arg = r, sig
+        samples.append((t, best, arg))
     return samples
 
 
@@ -97,7 +103,7 @@ def fit_growth(
         raise EstimationError("all sampled norms are zero; nothing to fit")
     slope, _ = _log_slope([s[0] for s in samples], rs)
     omega = max(slope, 1e-6)
-    m = max(r * math.exp(-omega * t) for t, r, _, _ in samples)
+    m = max(r * math.exp(-omega * t) for t, r, _ in samples)
     M = max(1.0, m) * (1.0 + 1e-9)
     return GrowthBound(M, omega)
 
@@ -122,19 +128,13 @@ def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses, extr
         tail_slope = -math.inf  # everything in the tail already reached zero
     if tail_slope >= 0.0:
         return FitRefusal(
-            "sampled sup norm is nondecreasing over the last decade of the grid",
-            worst[0],
-            worst[1],
-            worst[2],
-            worst[3],
+            "sampled sup norm is nondecreasing over the last decade of the grid", *worst
         )
     slope, _ = _log_slope([s[0] for s in samples], rs)
     if slope >= 0.0:
-        return FitRefusal(
-            "sampled sup norm grows over the grid", worst[0], worst[1], worst[2], worst[3]
-        )
+        return FitRefusal("sampled sup norm grows over the grid", *worst)
     mu = -slope
-    K = max(1.0, max(r * math.exp(mu * t) for t, r, _, _ in samples))
+    K = max(1.0, max(r * math.exp(mu * t) for t, r, _ in samples))
     return DecayBound(K * (1.0 + 1e-12), mu)
 
 
@@ -144,17 +144,14 @@ def datko_certificate(
     p: float,
     k: float,
     beta: float = 0.5,
-    t1_factor: float = 1.01,
-    k_over_beta: bool = True,
 ) -> DatkoCertificate:
     """Compose the integral-to-exponential constant chain.
 
     Given a growth envelope (validity prerequisite), an integral constant
     C_int with exponent p, and a uniform trajectory bound k, a contraction
     target beta < 1 determines rho = beta / k, the dwell scale
-    t0 = C_int / rho^p, the fixed horizon t1 = t1_factor * t0, and the decay
-    pair mu = -ln(beta) / t1, K = k / beta.  Setting ``k_over_beta=False``
-    switches to the alternative convention K = C_int / beta.
+    t0 = C_int / rho^p, the fixed horizon t1 = 1.01 t0, and the decay pair
+    mu = -ln(beta) / t1, K = k / beta.
     """
     if not isinstance(growth, GrowthBound):
         raise ContractViolation("a growth envelope is required for the chain to be valid")
@@ -162,18 +159,15 @@ def datko_certificate(
         raise ContractViolation("beta must lie in (0, 1)")
     if k < 1.0:
         raise ContractViolation("uniform trajectory bound k must be >= 1")
-    if t1_factor <= 1.0:
-        raise ContractViolation("t1_factor must exceed 1")
     if C_int <= 0.0:
         raise ContractViolation("integral constant must be positive")
     if p < 1.0:
         raise ContractViolation("exponent p must be >= 1")
     rho = beta / k
     t0 = C_int / rho**p
-    t1 = t1_factor * t0
+    t1 = _T1_FACTOR * t0
     mu = -math.log(beta) / t1
-    K = (k / beta) if k_over_beta else (C_int / beta)
-    return DatkoCertificate(p, C_int, k, rho, beta, t0, t1, K, mu)
+    return DatkoCertificate(p, C_int, k, rho, beta, t0, t1, k / beta, mu)
 
 
 def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> DecayBound:
@@ -232,7 +226,6 @@ class ConditionReport:
     derivative_ok: bool = False
     growth: GrowthBound | None = None
     growth_ok: bool | None = None
-    kappa_tol: float = 0.05
     supports: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -250,7 +243,7 @@ class ConditionReport:
             "derivative_ok": self.derivative_ok,
             "growth": self.growth.to_json() if self.growth else None,
             "growth_ok": self.growth_ok,
-            "kappa_tol": self.kappa_tol,
+            "kappa_tol": _KAPPA_TOL,
             "supports": dict(self.supports),
             "notes": list(self.notes),
             "n_samples": len(self.samples),
@@ -264,23 +257,21 @@ def condition_report(
     samples,
     fam: SignalFamily | None = None,
     growth: GrowthBound | None = None,
-    kappa_tol: float = 0.05,
     deriv_grid=None,
-    growth_check_grid=(0.5, 1.0, 2.0, 4.0),
 ) -> ConditionReport:
     """Check comparability and derivative conditions of an evaluator on samples.
 
     ``v`` maps states to functional values.  Per sample the report records
     the ratio v / ||x||^2 and whether every mode's difference quotient stays
-    below -||x||^2 (1 - kappa_tol).  Library errors raised by the evaluator
-    are recorded per sample rather than aborting the sweep; any other
-    exception is a bug and propagates.
+    below -||x||^2 (1 - kappa_tol), with kappa_tol = 0.05.  Library errors
+    raised by the evaluator are recorded per sample rather than aborting the
+    sweep; any other exception is a bug and propagates.
     """
     if not samples:
         raise ContractViolation("need at least one sample state")
     if deriv_grid is None:
         deriv_grid = default_derivative_grid()
-    report = ConditionReport(growth=growth, kappa_tol=kappa_tol)
+    report = ConditionReport(growth=growth)
     ratios = []
     deriv_all_ok = True
     for x in samples:
@@ -295,7 +286,7 @@ def condition_report(
             for j in range(sys.n_modes):
                 est = generalized_derivative(v, sys, j, x, deriv_grid)
                 dvals.append(est.value)
-                if not est.value <= -n2 * (1.0 - kappa_tol):
+                if not est.value <= -n2 * (1.0 - _KAPPA_TOL):
                     ok = False
             report.samples.append(SampleCheck(n2, val, val / n2, ok, tuple(dvals)))
             ratios.append(val / n2)
@@ -310,11 +301,10 @@ def condition_report(
         report.lower_ok = report.c_hat > 0.0
     report.derivative_ok = deriv_all_ok
     if growth is not None:
-        grid = [t for t in growth_check_grid]
         witnesses = [x for x in samples if state_norm(x, sys.norm) > 0.0]
         family = fam if fam is not None else SignalFamily.default(sys.n_modes)
         ok = True
-        for t, r, _, _ in _norm_ratio_samples(sys, family, grid, witnesses):
+        for t, r, _ in _norm_ratio_samples(sys, family, _GROWTH_CHECK_GRID, witnesses):
             if r > growth.at(t) * (1.0 + 1e-9):
                 ok = False
         report.growth_ok = ok

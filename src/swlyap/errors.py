@@ -27,9 +27,9 @@ class FamilySizeError(SwlyapError, ValueError):
     def __init__(self, count: int, limit: int):
         self.count = count
         self.limit = limit
-        super().__init__(
-            f"family enumerates {count} signals, more than the limit {limit}"
-        )
+        # a deep family's count has more digits than int-to-str conversion allows
+        shown = count if count < 10**18 else f"at least 2^{count.bit_length() - 1}"
+        super().__init__(f"family enumerates {shown} signals, more than the limit {limit}")
 
 
 class EstimationError(SwlyapError, RuntimeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     ContractViolation,
@@ -54,7 +54,7 @@ _BLOCK_STEP_NORM = 4.0  # largest ||A||_1 h exponentiated in one block step
 
 
 def lyapunov_solve(A, Q) -> np.ndarray:
-    """Solve A' P + P A = -Q for symmetric P, as a dense Kronecker system.
+    """Solve A' P + P A = -Q for symmetric P (Bartels-Stewart, via Schur forms).
 
     Requires A Hurwitz; the result is the stationary energy operator
     integral(0, inf) e^{A' t} Q e^{A t} dt.  The residual is checked to
@@ -70,10 +70,7 @@ def lyapunov_solve(A, Q) -> np.ndarray:
         raise UnstableTailError(
             f"matrix is not Hurwitz (max real eigenvalue {np.max(eigs.real):.3e})"
         )
-    eye = np.eye(n)
-    M = np.kron(eye, A.T) + np.kron(A.T, eye)
-    vec_p = np.linalg.solve(M, -Q.reshape(-1, order="F"))
-    P = vec_p.reshape((n, n), order="F")
+    P = solve_continuous_lyapunov(A.T, -Q)
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
     if residual > 1e-10 * max(np.linalg.norm(Q), 1e-30):

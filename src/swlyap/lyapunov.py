@@ -30,6 +30,7 @@ from .switching import (
     SwitchingSignal,
     enumerate_family,
     evolve,
+    walk,
 )
 
 __all__ = [
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 10.0
+_V_TILDE_POINTS = 801  # time points of the v_tilde grid on [0, horizon]
+_SINGLE_MODE_POINTS = 2001  # time points of the v_tilde_single_mode grid
 _QUAD_RTOL = 1e-9  # relative tolerance of the adaptive Simpson matrix energies
 _TIE_RTOL = 1e-12
 
@@ -143,9 +146,9 @@ def _mean_pow(sa: float, sb: float, q: float) -> float:
     hi, lo = (sa, sb) if sa >= sb else (sb, sa)
     if hi == 0.0:
         return 0.0
-    if lo == 0.0:
-        return hi**q / (q + 1.0)
     delta = (hi - lo) / hi
+    if delta == 1.0:  # lo is zero or below the last digit of hi
+        return hi**q / (q + 1.0)
     if delta == 0.0:
         return hi**q
     return hi**q * -math.expm1((q + 1.0) * math.log1p(-delta)) / ((q + 1.0) * delta)
@@ -197,23 +200,6 @@ def _segment_energy(sys, mode, d: float, x, end) -> float:
     return _transport_energy(sys, mode, d, x, end)
 
 
-def _walk_segments(sys, sig, horizon, x):
-    """(mode, dwell, start state, end state) per segment, and the final state."""
-    plan = []
-    remaining = horizon
-    state = x
-    for mode_id, dwell in sig.segments + ((sig.tail_mode, math.inf),):
-        if remaining <= 0.0:
-            break
-        step = dwell if dwell <= remaining else remaining
-        mode = sys.mode(mode_id)
-        end = apply(mode, step, state)
-        plan.append((mode, step, state, end))
-        state = end
-        remaining -= step
-    return plan, state
-
-
 def trajectory_cost(
     sys: SwitchedSystem,
     sig: SwitchingSignal,
@@ -230,11 +216,11 @@ def trajectory_cost(
     """
     if horizon <= 0:
         raise ContractViolation("horizon must be positive")
-    plan, final_state = _walk_segments(sys, sig, horizon, x)
     total = 0.0
+    final_state = x
     try:
-        for mode, dwell, start, end in plan:
-            total += _segment_energy(sys, mode, dwell, start, end)
+        for mode, step, start, final_state in walk(sys, sig, horizon, x):
+            total += _segment_energy(sys, mode, step, start, final_state)
     except OverflowError:  # a closed form left the double range
         total = math.inf
     if not math.isfinite(total):
@@ -319,7 +305,6 @@ def v_tilde(
     x,
     fam: SignalFamily | None = None,
     horizon: float = DEFAULT_HORIZON,
-    time_grid=None,
 ) -> LyapunovEstimate:
     """Integral of the pointwise-in-time sup of the squared norm over a family.
 
@@ -329,11 +314,7 @@ def v_tilde(
     """
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
-    if time_grid is None:
-        time_grid = np.linspace(0.0, horizon, 801)
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.size < 2:
-        raise ContractViolation("time grid must contain at least two points")
+    grid = np.linspace(0.0, horizon, _V_TILDE_POINTS)
     signals = list(enumerate_family(fam))
     norms2 = np.empty((len(signals), grid.size))
     for i, sig in enumerate(signals):
@@ -345,7 +326,7 @@ def v_tilde(
     return LyapunovEstimate(value, witness, float(grid[-1]), None, "V_tilde")
 
 
-def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON, grid=None) -> float:
+def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) -> float:
     """Explicit single-mode variant with the scalar group folded in.
 
     Evaluates integral(0, horizon) of max over s in [0, tau] of
@@ -353,11 +334,7 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON, gr
     """
     if mu <= 0:
         raise ContractViolation("mu must be positive")
-    if grid is None:
-        grid = np.linspace(0.0, horizon, 2001)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ContractViolation("grid must contain at least two points")
+    grid = np.linspace(0.0, horizon, _SINGLE_MODE_POINTS)
     spec = NormSpec(2.0) if isinstance(x, PiecewiseConstantFn) else NormSpec.euclidean()
     g = np.array([state_norm(apply(mode, float(t), x), spec) ** 2 for t in grid])
     m = np.empty_like(g)

@@ -288,13 +288,7 @@ def apply_adjoint(mode, t: float, x: np.ndarray) -> np.ndarray:
     """Evolve by the adjoint semigroup e^{t A^T}; matrix modes only."""
     if not isinstance(mode, MatrixMode):
         raise UnsupportedOperation("adjoint evolution is only defined for matrix modes")
-    if t < 0:
-        raise ContractViolation("evolution time must be nonnegative")
-    if not isinstance(x, np.ndarray) or x.shape != (mode.dim,):
-        raise StructuralError("adjoint evolution needs a coordinate state of matching dim")
-    if mode.dim == 1:
-        return x * _exp(mode.rows[0][0] * t)
-    return _expm(np.ascontiguousarray(mode.matrix.T), t) @ x
+    return apply(MatrixMode(tuple(zip(*mode.rows))), t, x)
 
 
 def group_inverse_norm(mode, t: float) -> float:

@@ -266,7 +266,8 @@ def state_norm(x, spec: NormSpec) -> float:
     if isinstance(x, np.ndarray):
         if spec.kind != "euclidean":
             raise StructuralError("coordinate states require a Euclidean norm spec")
-        n = float(np.linalg.norm(x))
+        with np.errstate(over="ignore"):  # rescaled below when it overflows
+            n = float(np.linalg.norm(x))
         if math.isinf(n) and np.isfinite(x).all():
             # the plain norm squares unscaled and overflows past ~1.3e154
             s = float(np.max(np.abs(x)))

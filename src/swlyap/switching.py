@@ -2,8 +2,10 @@
 
 A switching signal is a finite list of (mode_id, dwell) segments followed by
 a tail mode that stays active forever; signals are right-continuous and
-dwells are strictly positive (no chattering).  ``evolve`` composes the mode
-semigroups segment by segment, which on dyadic transport data is exact, so
+dwells are strictly positive (no chattering).  ``walk`` composes the mode
+semigroups segment by segment and yields every piece with its start and end
+states; ``evolve`` keeps the last state, and the trajectory energy sums one
+segment energy per piece.  On dyadic transport data the composition is exact, so
 the concatenation law
 
     evolve(sig, t + s, x) == evolve(shift_signal(sig, s), t, evolve(sig, s, x))
@@ -29,6 +31,7 @@ __all__ = [
     "SwitchingSignal",
     "SwitchedSystem",
     "SignalFamily",
+    "walk",
     "evolve",
     "shift_signal",
     "operator_norm_witness",
@@ -137,20 +140,29 @@ class SwitchedSystem:
         return self.modes[mode_id]
 
 
-def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
-    """Apply the switched evolution operator of ``sig`` for duration ``t``."""
+def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
+    """Yield ``(mode, step, start, end)`` for each piece of ``sig`` on [0, t],
+    the tail last; each ``end`` is the next piece's ``start``."""
     if t < 0:
         raise ContractViolation("evolution time must be nonnegative")
     remaining = t
     state = x
-    for mode_id, dwell in sig.segments:
+    for mode_id, dwell in sig.segments + ((sig.tail_mode, math.inf),):
         if remaining <= 0.0:
-            break
+            return
         step = dwell if dwell <= remaining else remaining
-        state = apply(sys.mode(mode_id), step, state)
+        mode = sys.mode(mode_id)
+        end = apply(mode, step, state)
+        yield mode, step, state, end
+        state = end
         remaining -= step
-    if remaining > 0.0:
-        state = apply(sys.mode(sig.tail_mode), remaining, state)
+
+
+def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
+    """Apply the switched evolution operator of ``sig`` for duration ``t``."""
+    state = x
+    for _, _, _, state in walk(sys, sig, t, x):
+        pass
     return state
 
 
@@ -210,8 +222,9 @@ class SignalFamily:
         object.__setattr__(self, "mode_ids", tuple(int(m) for m in self.mode_ids))
         if not grid or any(d <= 0 or not math.isfinite(d) for d in grid):
             raise StructuralError("dwell grid must be nonempty with positive entries")
-        if self.max_switches < 0:
-            raise StructuralError("max_switches must be nonnegative")
+        if not 0 <= self.max_switches <= _ENUMERATION_LIMIT:
+            # a deeper family has more than one signal per depth over the limit
+            raise StructuralError(f"max_switches must lie in [0, {_ENUMERATION_LIMIT}]")
         if not self.mode_ids or any(m < 0 for m in self.mode_ids):
             raise StructuralError("mode id set must be nonempty and nonnegative")
 
@@ -221,15 +234,17 @@ class SignalFamily:
 
 
 def family_size(fam: SignalFamily) -> int:
+    """Signals in the family: sum over k <= max_switches of n^(k+1) d^k."""
     n, d = len(fam.mode_ids), len(fam.dwell_grid)
-    return sum(n ** (k + 1) * d**k for k in range(fam.max_switches + 1))
+    r, k = n * d, fam.max_switches
+    return n * (k + 1) if r == 1 else n * (r ** (k + 1) - 1) // (r - 1)
 
 
-def enumerate_family(fam: SignalFamily, limit: int = _ENUMERATION_LIMIT):
+def enumerate_family(fam: SignalFamily):
     """Deterministic enumeration, lexicographic in (switch count, modes, dwells)."""
     count = family_size(fam)
-    if count > limit:
-        raise FamilySizeError(count, limit)
+    if count > _ENUMERATION_LIMIT:
+        raise FamilySizeError(count, _ENUMERATION_LIMIT)
 
     def gen():
         for k in range(fam.max_switches + 1):

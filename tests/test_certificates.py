@@ -114,7 +114,7 @@ class TestFitDecay:
         bound = fit_decay(sys_, fam, self.GRID, witnesses)
         from swlyap.certificates import _norm_ratio_samples
 
-        for t, r, _, _ in _norm_ratio_samples(sys_, fam, self.GRID, witnesses):
+        for t, r, _ in _norm_ratio_samples(sys_, fam, self.GRID, witnesses):
             assert r <= bound.at(t) * (1.0 + 1e-9)
 
 
@@ -122,7 +122,7 @@ class TestDatko:
     GROWTH = GrowthBound(2.0, 0.5)
 
     def test_worked_example(self):
-        cert = datko_certificate(self.GROWTH, C_int=0.5, p=2.0, k=1.0, beta=0.5, t1_factor=1.01)
+        cert = datko_certificate(self.GROWTH, C_int=0.5, p=2.0, k=1.0, beta=0.5)
         assert cert.rho == 0.5
         assert cert.t0 == 2.0
         assert cert.t1 == pytest.approx(2.02)
@@ -132,7 +132,7 @@ class TestDatko:
     def test_degrades_continuously_as_beta_approaches_one(self):
         mus, ks = [], []
         for beta in (0.9, 0.99, 0.999):
-            cert = datko_certificate(self.GROWTH, 0.5, 2.0, 1.0, beta, 1.01)
+            cert = datko_certificate(self.GROWTH, 0.5, 2.0, 1.0, beta)
             mus.append(cert.mu)
             ks.append(cert.K)
         assert mus[0] > mus[1] > mus[2] > 0
@@ -140,7 +140,7 @@ class TestDatko:
         assert mus[2] < 0.01 and ks[2] < 1.01
 
     def test_certified_envelope_majorizes_scalar_decay(self):
-        cert = datko_certificate(self.GROWTH, C_int=0.5, p=2.0, k=1.0, beta=0.5, t1_factor=1.01)
+        cert = datko_certificate(self.GROWTH, C_int=0.5, p=2.0, k=1.0, beta=0.5)
         env = cert.decay()
         for t in np.linspace(0.0, 20.0, 200):
             assert math.exp(-t) <= env.at(float(t)) * (1.0 + 1e-12)
@@ -148,7 +148,7 @@ class TestDatko:
     def test_monotone_in_k(self):
         prev_K, prev_mu = math.inf, 0.0
         for k in (4.0, 2.0, 1.0):
-            cert = datko_certificate(self.GROWTH, 0.5, 2.0, k, 0.5, 1.01)
+            cert = datko_certificate(self.GROWTH, 0.5, 2.0, k, 0.5)
             assert cert.K <= prev_K
             assert cert.mu >= prev_mu
             prev_K, prev_mu = cert.K, cert.mu
@@ -158,20 +158,14 @@ class TestDatko:
         # decreasing beta improves the rate
         p = 2.0
         betas = [0.95, 0.85, 0.75, 0.65, math.exp(-1.0 / p)]
-        mus = [datko_certificate(self.GROWTH, 0.5, p, 1.0, b, 1.01).mu for b in betas]
+        mus = [datko_certificate(self.GROWTH, 0.5, p, 1.0, b).mu for b in betas]
         assert all(a < b for a, b in zip(mus[:-1], mus[1:]))
-
-    def test_alternative_k_convention(self):
-        cert = datko_certificate(self.GROWTH, 0.5, 2.0, 2.0, 0.5, 1.01, k_over_beta=False)
-        assert cert.K == pytest.approx(1.0)
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):
             datko_certificate(self.GROWTH, 0.5, 2.0, 1.0, beta=1.0)
         with pytest.raises(ContractViolation):
             datko_certificate(self.GROWTH, 0.5, 2.0, 0.5)
-        with pytest.raises(ContractViolation):
-            datko_certificate(self.GROWTH, 0.5, 2.0, 1.0, t1_factor=1.0)
         with pytest.raises(ContractViolation):
             datko_certificate(None, 0.5, 2.0, 1.0)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,8 @@ PROBES = [
     ("scalar-overflow-certify", ["certify"], {**scalar_config(1000.0), "n_samples": 1}, 1,
      "error in certify: "),
     ("scalar-energy-overflow", ["worst-case"], scalar_config(40.0), 1, "error in worst_case: "),
+    ("certify-horizon-before-first-sample", ["certify"],
+     {**scalar_config(-1.0), "horizon": 0.1, "n_samples": 1}, 1, "error in certify: "),
 ]
 
 
@@ -262,3 +265,43 @@ def test_validate_config_never_raises(field, value):
     else:
         assert isinstance(cfg, RunConfig) and errors == []
         assert math.isfinite(cfg.horizon) and cfg.horizon > 0
+
+
+# One small valid config per CLI command; the fuzzer below replaces one field.
+RUNS = {
+    "simulate": (["simulate"], pair_config(signal={"segments": [[0, 0.5]], "tail": 1},
+                                           horizon=1.0, dt=0.25)),
+    "worst-case": (["worst-case"], pair_config(horizon=2.0)),
+    "certify": (["certify"], {"system": {"modes": [{"kind": "matrix", "A": [[-1.0]]},
+                                                  {"kind": "matrix", "A": [[-2.0]]}]},
+                              "family": SMALL_FAMILY, "horizon": 1.0, "n_samples": 1}),
+    "gram": (["gram"], pair_config()),
+    "reproduce": (["reproduce", "remark-3.2"], {"params": {"n": 2, "p": 2.0}}),
+}
+RUN_FIELDS = [(name, path) for name, (_, doc) in RUNS.items() for path in _paths(doc) if path]
+
+
+# Each example starts a fresh interpreter (about 0.5 s, mostly the numpy and
+# scipy imports), so the count is small.  Small numbers keep most configs
+# valid, so the task itself runs too.
+RUN_VALUES = st.integers(-1, 4) | st.floats(-4.0, 4.0) | JSON_VALUES
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(field=st.sampled_from(RUN_FIELDS), value=RUN_VALUES)
+def test_cli_exits_cleanly_on_any_one_field(field, value):
+    name, path = field
+    argv, doc = RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(_replace(doc, path, value)))
+        env = {k: v for k, v in os.environ.items() if k != "SWLYAP_OUT"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "swlyap.cli", *argv, "--config", str(config),
+             "--out", str(Path(tmp) / "out")],
+            env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+        )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:  # a numerical failure, reported by `run`
+        assert proc.stderr.splitlines()[-1].startswith(f"error in {argv[0].replace('-', '_')}: ")

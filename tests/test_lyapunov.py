@@ -192,10 +192,6 @@ class TestVTilde:
             hi = v_tilde(sys_, x, fam, horizon=10.0).value
             assert hi >= lo - 1e-3 * max(1.0, lo)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ContractViolation):
-            v_tilde(SCALARS, euclidean_state([1.0]), time_grid=[0.0])
-
 
 class TestVTildeSingleMode:
     def test_scalar_closed_form(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,12 @@ class TestStates:
         for _ in range(50):
             x = rng.standard_normal(3) * 10.0 ** rng.uniform(-100, 100)
             assert state_norm(x, spec) == float(np.linalg.norm(x))
+
+    def test_state_norm_past_the_square_range_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = state_norm(np.array([1e155, 1e155]), NormSpec.euclidean())
+        assert n == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-15)
 
     def test_norm_spec_validation(self):
         with pytest.raises(StructuralError):

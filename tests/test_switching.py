@@ -186,8 +186,21 @@ class TestFamilyEnumeration:
     def test_size_error_carries_count(self):
         fam = SignalFamily((0.25, 0.5, 1.0), 8, (0, 1, 2))
         with pytest.raises(FamilySizeError) as exc:
-            enumerate_family(fam, limit=1000)
+            enumerate_family(fam)
         assert exc.value.count == family_size(fam)
+
+    def test_size_closed_form_matches_the_sum(self):
+        for dwells, depth, modes in [((0.5,), 7, (0,)), ((0.5, 1.0), 5, (0, 1, 2))]:
+            fam = SignalFamily(dwells, depth, modes)
+            n, d = len(modes), len(dwells)
+            assert family_size(fam) == sum(n ** (k + 1) * d**k for k in range(depth + 1))
+
+    def test_deep_family_fails_fast(self):
+        fam = SignalFamily((0.5,), 20_000, (0, 1))
+        with pytest.raises(FamilySizeError, match=r"at least 2\^20001 signals"):
+            enumerate_family(fam)
+        with pytest.raises(StructuralError, match="max_switches"):
+            SignalFamily((0.5,), 10**14, (0, 1))
 
     def test_constant_signals_enumerated_first(self):
         fam = SignalFamily.default(2)

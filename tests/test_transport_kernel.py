@@ -233,3 +233,8 @@ class TestMeanPow:
         # the mean of a nearly constant integrand is its midpoint value
         got = _mean_pow(1.0, 1.0 + 2e-9, 2.0 / 3.0)
         assert got == pytest.approx((1.0 + 1e-9) ** (2.0 / 3.0), rel=1e-15)
+
+    def test_end_below_the_last_digit_of_the_other(self):
+        # (hi - lo) / hi rounds to 1, where log1p(-1) has no value
+        assert _mean_pow(1.0, 1e-300, 2.0 / 13.0) == 1.0 / (2.0 / 13.0 + 1.0)
+        assert _mean_pow(1e-17, 1.0, 0.5) == 1.0 / 1.5
