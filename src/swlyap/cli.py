@@ -41,6 +41,7 @@ from .switching import (
     SwitchedSystem,
     SwitchingSignal,
     evolve,
+    family_size,
     operator_norm_witness,
 )
 
@@ -69,13 +70,54 @@ _PARAMS = {
     "half-line-shift": {},
 }
 EXAMPLES = tuple(_PARAMS)
-# The sections the library constructors build, and their fields that hold text.
-_BUILT = ("system", "signal", "state", "family")
+# The fields of the sections the library builds that hold text.
 _TEXT_FIELDS = ("kind", "direction")
-# The most time points `simulate` evaluates, horizon/dt + 1; each is evolved from t = 0.
+# The most time points `simulate` evaluates, horizon/dt + 1, each evolved from
+# t = 0; also the most signal evaluations `certify` makes over its samples.
 _GRID_LIMIT = 1_000_000
 # A library message that starts with a field path, as in "segments[1].dwell: ...".
 _SUBPATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float))
+
+
+def _is_whole(value):
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _pair(first, second):
+    return lambda v: isinstance(v, list) and len(v) == 2 and first(v[0]) and second(v[1])
+
+
+# The JSON shape of each section the library builds, and of the fields whose
+# wrong type its constructors would report in Python's own words, as
+# {section: (check, requirement, {field: (check, requirement)})}.
+_SHAPES = {
+    "system": (lambda v: isinstance(v, dict), "an object with a 'modes' list",
+               {"norm": (lambda v: isinstance(v, dict), "an object with 'kind' and 'p'")}),
+    "signal": (lambda v: isinstance(v, dict) and {"segments", "tail"} <= v.keys(),
+               "an object with 'segments' and 'tail'",
+               {"segments": (_list_of(_pair(_is_whole, _is_number)),
+                             "a list of [mode, dwell] pairs"),
+                "tail": (_is_whole, "an integer mode id")}),
+    "state": (lambda v: isinstance(v, dict) and ("coords" in v
+                                                  or {"domain", "breaks", "values"} <= v.keys()),
+              "an object with 'coords', or with 'domain', 'breaks' and 'values'",
+              {"coords": (_list_of(_is_number), "a list of numbers"),
+               "domain": (_pair(_is_number, _is_number), "a [lo, hi] pair of numbers"),
+               "breaks": (_list_of(_is_number), "a list of numbers"),
+               "values": (_list_of(_is_number), "a list of numbers")}),
+    "family": (lambda v: v is None or isinstance(v, dict), "an object or null",
+               {"dwells": (_list_of(_is_number), "a list of numbers"),
+                "max_switches": (_is_whole, "an integer"),
+                "modes": (_list_of(_is_whole), "a list of integer mode ids")}),
+}
 
 
 @dataclass
@@ -107,12 +149,26 @@ def _parse(errors, path, build, *args):
 
 
 def _field(errors, raw, key, required, build, *args):
-    """Parse ``raw[key]`` if present; its absence is an error when ``required``."""
-    if key in raw:
-        return _parse(errors, key, build, raw[key], *args)
-    if required:
-        errors.append(f"{key}: required")
-    return None
+    """Build the section ``raw[key]`` if present; its absence is an error when
+    ``required``.  A section of the wrong shape, or holding a value already
+    reported, is not built, so each bad value gets one error."""
+    if key not in raw:
+        if required:
+            errors.append(f"{key}: required")
+        return None
+    value = raw[key]
+    if any(re.match(rf"{key}\b", e) for e in errors):
+        return None  # a value inside it was reported already
+    ok, requirement, fields = _SHAPES[key]
+    if not ok(value):
+        errors.append(f"{key}: must be {requirement}")
+        return None
+    wrong = [f"{key}.{name}: must be {need}" for name, (check, need) in fields.items()
+             if value and name in value and not check(value[name])]
+    errors += wrong
+    if wrong:
+        return None
+    return _parse(errors, key, build, value, *args)
 
 
 def _number(value, cast, accepts, requirement):
@@ -173,6 +229,22 @@ def _family(obj, system):
     return fam
 
 
+def _certify_cost(errors, system, family, n_samples, horizon):
+    """Bound the signal evaluations of ``certify``: per sample and family
+    signal, a norm at each of horizon/0.25 time points and 1 + 18 per mode
+    for the condition report.  The largest factor names the field to blame."""
+    cap = _GRID_LIMIT + 1  # keeps the product small; one factor above the limit exceeds it
+    factors = {
+        "n_samples": min(n_samples, cap),
+        "family": min(family_size(family), cap),
+        "horizon": math.floor(min(horizon / 0.25, cap)) + 1 + 18 * system.n_modes,
+    }
+    if math.prod(factors.values()) > _GRID_LIMIT:
+        blame = max(factors, key=factors.get)
+        errors.append(f"{blame}: certify would evaluate n_samples x family size x "
+                      f"(horizon/0.25 + 1 + 18 x modes) signals, more than {_GRID_LIMIT:,}")
+
+
 def _sampler(system):
     """The first mode ``certify`` can draw sample states for."""
     for mode in system.modes:
@@ -215,7 +287,7 @@ def validate_config(raw, overrides=None):
     ]
     errors += [
         f"{path}: must be a number, not a string"
-        for section in _BUILT if isinstance(raw.get(section), dict)
+        for section in _SHAPES if isinstance(raw.get(section), dict)
         for path in _leaves(raw[section], section, _numeric_string)
     ]
 
@@ -229,6 +301,7 @@ def validate_config(raw, overrides=None):
         for key, spec in _SCALARS.items()
     }
     system = signal = family = example = None
+    raw.setdefault("family", None)  # the default family, from the system's modes
     params = {}
     if task == "reproduce":
         example, given = raw.get("example"), raw.get("params", {})
@@ -253,9 +326,12 @@ def validate_config(raw, overrides=None):
             errors.append(f"dt: horizon/dt + 1 time points exceed {_GRID_LIMIT:,}")
     state = _field(errors, raw, "state", task in ("simulate", "worst_case"), _state, system)
     if system is not None:
-        family = _parse(errors, "family", _family, raw.get("family"), system)
+        family = _field(errors, raw, "family", False, _family, system)
         if task == "certify":
             _parse(errors, "system.modes", _sampler, system)
+            n_samples, horizon = scalars["n_samples"], scalars["horizon"]
+            if family and n_samples and horizon:
+                _certify_cost(errors, system, family, n_samples, horizon)
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")

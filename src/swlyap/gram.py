@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     ContractViolation,
@@ -33,7 +32,7 @@ from .errors import (
     UnstableTailError,
     UnsupportedOperation,
 )
-from .semigroups import DiagonalGroupMode, MatrixMode
+from .semigroups import DiagonalGroupMode, MatrixMode, expm
 from .switching import SignalFamily, SwitchedSystem, SwitchingSignal, enumerate_family
 
 __all__ = [
@@ -51,14 +50,56 @@ __all__ = [
 
 DEFAULT_ARGMAX_TOL = 1e-9
 _BLOCK_STEP_NORM = 4.0  # largest ||A||_1 h exponentiated in one block step
+_MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving up
+
+
+def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
+    """integral(0, d) e^{A' t} Q e^{A t} dt, for d > 0 finite or infinite.
+
+    Exponentiates the block [[-A', Q], [0, A]] * h and combines the
+    off-diagonal block with e^{A h} (Van Loan, IEEE TAC 1978).  The -A' block
+    grows like e^{||A|| h}, and the rounding error with its square, so the
+    block step keeps ||A||_1 h within _BLOCK_STEP_NORM and the integral is
+    doubled from it: G(2h) = G(h) + Phi(h)' G(h) Phi(h), Phi(2h) = Phi(h)^2.
+    A finite d is reached in exactly k doublings from h = d / 2^k; d = inf
+    doubles from a power-of-two step until a doubling leaves G unchanged.
+    """
+    n = A.shape[0]
+    # ||A||_1, by column sums in plain Python: on the small matrices
+    # exponentiated here numpy's per-call overhead would cost more
+    norm = max(sum(map(abs, col)) for col in A.T.tolist())
+    settle = math.isinf(d)
+    if settle:
+        h = 2.0 ** math.floor(math.log2(_BLOCK_STEP_NORM / norm))
+        k = _MAX_DOUBLINGS
+    else:
+        reach = norm * d
+        k = math.ceil(math.log2(reach / _BLOCK_STEP_NORM)) if reach > _BLOCK_STEP_NORM else 0
+        h = d / 2.0**k
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -A.T
+    block[:n, n:] = Q
+    block[n:, n:] = A
+    E = expm(block * h)
+    Phi = E[n:, n:]
+    G = Phi.T @ E[:n, n:]
+    for _ in range(k):
+        G, prev = G + Phi.T @ G @ Phi, G
+        if settle and np.array_equal(G, prev):
+            return G
+        Phi = Phi @ Phi
+    if settle:
+        raise EstimationError(f"stationary energy did not settle in {_MAX_DOUBLINGS} doublings")
+    return G
 
 
 def lyapunov_solve(A, Q) -> np.ndarray:
-    """Solve A' P + P A = -Q for symmetric P (Bartels-Stewart, via Schur forms).
+    """Solve A' P + P A = -Q for symmetric P.
 
     Requires A Hurwitz; the result is the stationary energy operator
-    integral(0, inf) e^{A' t} Q e^{A t} dt.  The residual is checked to
-    1e-10 ||Q||.
+    integral(0, inf) e^{A' t} Q e^{A t} dt, computed by the same doubling as
+    the finite segments and corrected once by the solution for its
+    residual.  The final residual is checked to 1e-10 ||Q||.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -70,7 +111,12 @@ def lyapunov_solve(A, Q) -> np.ndarray:
         raise UnstableTailError(
             f"matrix is not Hurwitz (max real eigenvalue {np.max(eigs.real):.3e})"
         )
-    P = solve_continuous_lyapunov(A.T, -Q)
+    P = _energy(A, Q, math.inf)
+    P = 0.5 * (P + P.T)
+    # One correction, the same integral of the residual: the doubling's
+    # rounding grows with the transient of a non-normal A, and the
+    # correction's is relative to the residual, which is small.
+    P = P + _energy(A, A.T @ P + P @ A + Q, math.inf)
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
     if residual > 1e-10 * max(np.linalg.norm(Q), 1e-30):
@@ -79,34 +125,11 @@ def lyapunov_solve(A, Q) -> np.ndarray:
 
 
 def segment_energy(A, d: float) -> np.ndarray:
-    """Finite-segment energy integral(0, d) e^{A' t} e^{A t} dt.
-
-    Uses the block-exponential construction: exponentiate
-    [[-A', I], [0, A]] * h and combine the off-diagonal block with e^{A h}.
-    The -A' block grows like e^{||A|| h}, and the rounding error with its
-    square, so a dwell with ||A||_1 d above _BLOCK_STEP_NORM takes the block
-    on a base step h = d / 2^k below it and doubles k times:
-    E(2h) = E(h) + Phi(h)' E(h) Phi(h), Phi(2h) = Phi(h)^2.
-    """
+    """Finite-segment energy integral(0, d) e^{A' t} e^{A t} dt."""
     if not (d > 0 and math.isfinite(d)):
         raise ContractViolation("segment length must be positive and finite")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    # ||A||_1 d, by column sums in plain Python: on the small matrices
-    # exponentiated here numpy's per-call overhead would cost more
-    reach = max(sum(map(abs, col)) for col in A.T.tolist()) * d
-    k = math.ceil(math.log2(reach / _BLOCK_STEP_NORM)) if reach > _BLOCK_STEP_NORM else 0
-    h = d / 2.0**k
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -A.T
-    block[:n, n:] = np.eye(n)
-    block[n:, n:] = A
-    E = expm(block * h)
-    Phi = E[n:, n:]
-    G = Phi.T @ E[:n, n:]
-    for _ in range(k):
-        G = G + Phi.T @ G @ Phi
-        Phi = Phi @ Phi
+    G = _energy(A, np.eye(A.shape[0]), d)
     return 0.5 * (G + G.T)
 
 

@@ -2,7 +2,8 @@
 
 Four kinds of modes are supported:
 
-* ``MatrixMode``        e^{tA} on R^n, via scaling-and-squaring (scipy.linalg.expm).
+* ``MatrixMode``        e^{tA} on R^n, via ``expm``: scaling and squaring with
+  Pade approximants (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 * ``ShiftAmplifyMode``  translation on a bounded interval that multiplies by a
   fixed factor exactly once, when a characteristic strictly crosses the
   amplification edge.  With the edge at an interior point this reproduces the
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ContractViolation, EstimationError, StructuralError, UnsupportedOperation
 from .state_space import PiecewiseConstantFn, canonicalize
@@ -39,6 +39,7 @@ __all__ = [
     "matrix_mode",
     "apply",
     "apply_adjoint",
+    "expm",
     "transport_events",
     "group_inverse_norm",
     "mode_state_kind",
@@ -68,7 +69,7 @@ class MatrixMode:
         a.setflags(write=False)
         return a
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.rows)
 
@@ -152,6 +153,80 @@ def mode_state_kind(mode) -> str:
     if isinstance(mode, DiagonalGroupMode):
         return "any"
     raise StructuralError(f"unknown mode type {type(mode).__name__}")
+
+
+# -- matrix exponential ---------------------------------------------------------
+
+# For each Pade degree m = 3, 5, 7, 9: theta_m, the largest ||A||_1 at which
+# the [m/m] approximant of e^A is accurate to unit roundoff in double
+# precision, and the approximant's coefficients b_0..b_m (Higham 2005).
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+      110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152e0
+_B13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def _pade(A: np.ndarray, b: tuple) -> tuple:
+    """The odd part U and even part V of the [m/m] Pade numerator, m = len(b) - 1 <= 9."""
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    power, odd, even = ident, b[1] * ident, b[0] * ident
+    for j in range(2, len(b), 2):
+        power = power @ A2
+        odd = odd + b[j + 1] * power
+        even = even + b[j] * power
+    return A @ odd, even
+
+
+def _pade13(A: np.ndarray) -> tuple:
+    """U and V of the [13/13] approximant, from A^2, A^4 and A^6 alone."""
+    b = _B13
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    return U, V
+
+
+def expm(A) -> np.ndarray:
+    """e^A of a square matrix by scaling and squaring (Higham 2005).
+
+    The lowest Pade degree whose theta_m bounds ||A||_1 is used directly;
+    above theta_13, A is scaled by 2^-s into it and the result squared s
+    times.  A non-finite entry in A or in e^A raises EstimationError.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
+    if not math.isfinite(norm):
+        raise EstimationError("matrix exponential of a non-finite matrix")
+    for theta, b in _PADE:
+        if norm <= theta:
+            U, V = _pade(A, b)
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    U, V = _pade13(A / 2.0**s)
+    X = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            X = X @ X
+    if not np.isfinite(X).all():
+        raise EstimationError(f"matrix exponential is not finite (||A||_1 = {norm:.3g})")
+    return X
 
 
 # -- matrix exponential cache -------------------------------------------------

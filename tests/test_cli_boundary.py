@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -40,14 +41,17 @@ PROBES = [
     ("modes-not-a-list", ["worst-case"], {"system": {"modes": 5}, "state": UNIT}, 2,
      "system.modes: "),
     ("norm-not-an-object", ["worst-case"], pair_config(system={**PAIR, "norm": 5}), 2,
-     "system: "),
+     "system.norm: must be an object"),
     ("family-a-list", ["worst-case"], pair_config(family=[1]), 2, "family: "),
-    ("family-dwells-text", ["worst-case"], pair_config(family={"dwells": "abc"}), 2, "family: "),
+    ("family-dwells-text", ["worst-case"], pair_config(family={"dwells": "abc"}), 2,
+     "family.dwells: must be a list of numbers"),
     ("family-max-switches-text", ["worst-case"], pair_config(family={"max_switches": "x"}), 2,
-     "family: "),
+     "family.max_switches: must be an integer"),
     ("signal-segments-a-number", ["simulate"],
-     pair_config(signal={"segments": 3, "tail": 0}), 2, "signal: "),
-    ("state-coords-text", ["worst-case"], pair_config(state={"coords": "ab"}), 2, "state: "),
+     pair_config(signal={"segments": 3, "tail": 0}), 2,
+     "signal.segments: must be a list of [mode, dwell] pairs"),
+    ("state-coords-text", ["worst-case"], pair_config(state={"coords": "ab"}), 2,
+     "state.coords: must be a list of numbers"),
     ("delta-text", ["reproduce", "example-2.1"], {"params": {"delta": "a"}}, 2,
      "params.delta: "),
     ("delta-zero", ["reproduce", "example-2.1"], {"params": {"delta": 0}}, 2, "params.delta: "),
@@ -106,6 +110,18 @@ PROBES = [
     ("scalar-energy-overflow", ["worst-case"], scalar_config(40.0), 1, "error in worst_case: "),
     ("certify-horizon-before-first-sample", ["certify"],
      {**scalar_config(-1.0), "horizon": 0.1, "n_samples": 1}, 1, "error in certify: "),
+    # a section or field of the wrong JSON type is named with what it needs
+    ("system-null", ["worst-case"], {"system": None, "state": UNIT}, 2,
+     "system: must be an object with a 'modes' list"),
+    ("family-a-number", ["worst-case"], pair_config(family=5), 2, "family: must be an object"),
+    ("family-max-switches-a-list", ["worst-case"], pair_config(family={"max_switches": [1]}), 2,
+     "family.max_switches: must be an integer"),
+    ("state-a-list", ["worst-case"], pair_config(state=[1, 2]), 2, "state: must be an object"),
+    ("signal-a-number", ["simulate"], pair_config(signal=5), 2, "signal: must be an object"),
+    # certify's signal evaluations are bounded before it runs
+    ("certify-horizon-too-long", ["certify"], pair_config(horizon=1e5), 2, "horizon: certify"),
+    ("certify-too-many-samples", ["certify"], pair_config(n_samples=10**5), 2,
+     "n_samples: certify"),
 ]
 
 
@@ -142,9 +158,8 @@ def test_non_finite_matrix_energy_exits_1_without_hanging(tmp_path):
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
-    # numpy's overflow warnings may come first
-    assert proc.stderr.splitlines()[-1].startswith("error in worst_case: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error in worst_case: ")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_flags_override_config_fields(tmp_path):
@@ -189,6 +204,29 @@ def test_simulate_grid_bound_sits_at_the_limit():
     assert validate_config({**base, "dt": 1.0 / 1_000_000})[1][0].startswith("dt: ")
     # dt is used by simulate only
     assert validate_config({**BASES["certify"], "dt": 1e-12})[1] == []
+
+
+def test_certify_cost_bound_sits_at_the_limit():
+    # one mode, one signal: n_samples x (horizon/0.25 + 1 + 18) evaluations
+    base = {"task": "certify", **scalar_config(-1.0),
+            "family": {"dwells": [1.0], "max_switches": 0}, "n_samples": 500}
+    assert validate_config({**base, "horizon": 495.25})[1] == []  # 500 x 2,000
+    assert validate_config({**base, "horizon": 495.5})[1][0].startswith("horizon: ")
+    base["horizon"] = 120.25  # 500 evaluations per sample
+    assert validate_config({**base, "n_samples": 2000})[1] == []
+    assert validate_config({**base, "n_samples": 2001})[1][0].startswith("n_samples: ")
+    # the benchmark's matrix-certify config makes 1 x 10 x 53 = 530
+    doc = {"task": "certify", "system": PAIR, "n_samples": 1, "horizon": 4.0,
+           "family": {"dwells": [0.5, 1.0], "max_switches": 1}}
+    assert validate_config(doc)[1] == []
+    # a family too large to enumerate is blamed on the family, not printed
+    doc["family"]["max_switches"] = 20_000
+    assert validate_config(doc)[1][0].startswith("family: certify")
+    # the configs that ran past 10 s are refused before anything runs
+    for field in ({"horizon": 1e5}, {"n_samples": 10**5}):
+        t0 = time.perf_counter()
+        assert validate_config({**doc, "family": SMALL_FAMILY, **field})[1]
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_params_are_parsed_once():
@@ -281,8 +319,8 @@ RUNS = {
 RUN_FIELDS = [(name, path) for name, (_, doc) in RUNS.items() for path in _paths(doc) if path]
 
 
-# Each example starts a fresh interpreter (about 0.5 s, mostly the numpy and
-# scipy imports), so the count is small.  Small numbers keep most configs
+# Each example starts a fresh interpreter (about 0.3 s, mostly the numpy
+# import), so the count is small.  Small numbers keep most configs
 # valid, so the task itself runs too.
 RUN_VALUES = st.integers(-1, 4) | st.floats(-4.0, 4.0) | JSON_VALUES
 
