@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import StructuralError
 
@@ -29,7 +29,7 @@ class GrowthBound:
         return self.M * math.exp(self.omega * t)
 
     def to_json(self) -> dict:
-        return {"M": self.M, "omega": self.omega}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class DecayBound:
         return self.K * math.exp(-self.mu * t)
 
     def to_json(self) -> dict:
-        return {"K": self.K, "mu": self.mu}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class NormEquivalence:
             raise StructuralError("need 0 < c <= C")
 
     def to_json(self) -> dict:
-        return {"c": self.c, "C": self.C}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,4 @@ class DatkoCertificate:
         return DecayBound(max(self.K, 1.0), self.mu)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "C_int": self.C_int,
-            "k": self.k,
-            "rho": self.rho,
-            "beta": self.beta,
-            "t0": self.t0,
-            "t1": self.t1,
-            "K": self.K,
-            "mu": self.mu,
-        }
+        return asdict(self)

@@ -10,7 +10,7 @@ lower bound) which is exact given its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,13 +49,8 @@ class FitRefusal:
     signal: object
 
     def to_json(self) -> dict:
-        return {
-            "refused": True,
-            "reason": self.reason,
-            "t": self.t,
-            "value": self.value,
-            "signal": self.signal.to_json() if self.signal is not None else None,
-        }
+        signal = self.signal.to_json() if self.signal is not None else None
+        return {**asdict(self), "refused": True, "signal": signal}
 
 
 def _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals=()):

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,14 +28,12 @@ from .certificates import (
     fit_growth,
     gronwall_certificate,
 )
-from .errors import StructuralError, SwlyapError
+from .errors import StructuralError, SwlyapError, under
 from .gram import argmax_set, candidates_from_family, v_max
 from .lyapunov import trajectory_cost, v_sup
 from .semigroups import MatrixMode, ShiftAmplifyMode, apply
-from .state_space import PiecewiseConstantFn, euclidean_state, state_norm
+from .state_space import PiecewiseConstantFn, euclidean_state, state_from_json, state_norm
 from .switching import (
-    DEFAULT_DWELL_GRID,
-    DEFAULT_MAX_SWITCHES,
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
@@ -70,54 +67,9 @@ _PARAMS = {
     "half-line-shift": {},
 }
 EXAMPLES = tuple(_PARAMS)
-# The fields of the sections the library builds that hold text.
-_TEXT_FIELDS = ("kind", "direction")
 # The most time points `simulate` evaluates, horizon/dt + 1, each evolved from
 # t = 0; also the most signal evaluations `certify` makes over its samples.
 _GRID_LIMIT = 1_000_000
-# A library message that starts with a field path, as in "segments[1].dwell: ...".
-_SUBPATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
-
-
-def _is_number(value):
-    return isinstance(value, (int, float))
-
-
-def _is_whole(value):
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-
-
-def _list_of(check):
-    return lambda v: isinstance(v, list) and all(map(check, v))
-
-
-def _pair(first, second):
-    return lambda v: isinstance(v, list) and len(v) == 2 and first(v[0]) and second(v[1])
-
-
-# The JSON shape of each section the library builds, and of the fields whose
-# wrong type its constructors would report in Python's own words, as
-# {section: (check, requirement, {field: (check, requirement)})}.
-_SHAPES = {
-    "system": (lambda v: isinstance(v, dict), "an object with a 'modes' list",
-               {"norm": (lambda v: isinstance(v, dict), "an object with 'kind' and 'p'")}),
-    "signal": (lambda v: isinstance(v, dict) and {"segments", "tail"} <= v.keys(),
-               "an object with 'segments' and 'tail'",
-               {"segments": (_list_of(_pair(_is_whole, _is_number)),
-                             "a list of [mode, dwell] pairs"),
-                "tail": (_is_whole, "an integer mode id")}),
-    "state": (lambda v: isinstance(v, dict) and ("coords" in v
-                                                  or {"domain", "breaks", "values"} <= v.keys()),
-              "an object with 'coords', or with 'domain', 'breaks' and 'values'",
-              {"coords": (_list_of(_is_number), "a list of numbers"),
-               "domain": (_pair(_is_number, _is_number), "a [lo, hi] pair of numbers"),
-               "breaks": (_list_of(_is_number), "a list of numbers"),
-               "values": (_list_of(_is_number), "a list of numbers")}),
-    "family": (lambda v: v is None or isinstance(v, dict), "an object or null",
-               {"dwells": (_list_of(_is_number), "a list of numbers"),
-                "max_switches": (_is_whole, "an integer"),
-                "modes": (_list_of(_is_whole), "a list of integer mode ids")}),
-}
 
 
 @dataclass
@@ -137,73 +89,49 @@ class RunConfig:
 
 
 def _parse(errors, path, build, *args):
-    """``build(*args)``, or None after recording one ``path: message`` error."""
+    """``build(*args)``, or None after recording one ``path: message`` error.
+    Nothing is built under a path already reported (a boolean inside it)."""
+    if any(e.startswith((f"{path}: ", f"{path}.", f"{path}[")) for e in errors):
+        return None
     try:
         return build(*args)
-    except KeyError as exc:
-        errors.append(f"{path}.{exc.args[0]}: required")
-    except (SwlyapError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        msg = str(exc)
-        errors.append(f"{path}.{msg}" if _SUBPATH.match(msg) else f"{path}: {msg}")
+    except (SwlyapError, OverflowError) as exc:  # OverflowError: an L^p norm past the double range
+        errors.append(under(path, str(exc)))
     return None
 
 
 def _field(errors, raw, key, required, build, *args):
-    """Build the section ``raw[key]`` if present; its absence is an error when
-    ``required``.  A section of the wrong shape, or holding a value already
-    reported, is not built, so each bad value gets one error."""
-    if key not in raw:
-        if required:
-            errors.append(f"{key}: required")
-        return None
-    value = raw[key]
-    if any(re.match(rf"{key}\b", e) for e in errors):
-        return None  # a value inside it was reported already
-    ok, requirement, fields = _SHAPES[key]
-    if not ok(value):
-        errors.append(f"{key}: must be {requirement}")
-        return None
-    wrong = [f"{key}.{name}: must be {need}" for name, (check, need) in fields.items()
-             if value and name in value and not check(value[name])]
-    errors += wrong
-    if wrong:
-        return None
-    return _parse(errors, key, build, value, *args)
+    """Build the section ``raw[key]``; its absence is an error when ``required``."""
+    if key in raw:
+        return _parse(errors, key, build, raw[key], *args)
+    if required:
+        errors.append(f"{key}: required")
+    return None
 
 
 def _number(value, cast, accepts, requirement):
     """``value`` as ``cast`` when it is a finite JSON number that ``accepts`` takes."""
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        if cast(value) == value and accepts(value):
-            return cast(value)
-    raise ValueError(f"must be {requirement}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and cast(value) == value and accepts(value):
+                return cast(value)
+        except OverflowError:  # an integer past the double range
+            pass
+    raise StructuralError(f"must be {requirement}")
 
 
-def _leaves(obj, path, pick):
-    """Paths of the leaves of the JSON value ``obj`` that ``pick(leaf, path)`` accepts."""
+def _booleans(obj, path=""):
+    """Paths of the boolean leaves of the JSON value ``obj``."""
     if isinstance(obj, dict):
-        return [p for k, v in obj.items() for p in _leaves(v, f"{path}.{k}" if path else k, pick)]
+        return [p for k, v in obj.items() for p in _booleans(v, f"{path}.{k}" if path else k)]
     if isinstance(obj, list):
-        return [p for i, v in enumerate(obj) for p in _leaves(v, f"{path}[{i}]", pick)]
-    return [path] if pick(obj, path) else []
-
-
-def _numeric_string(value, path):
-    """A string outside a text field that reads as a number, which the library
-    constructors would convert silently; any other string where a number
-    belongs fails the constructor itself."""
-    if not isinstance(value, str) or path.rpartition(".")[2] in _TEXT_FIELDS:
-        return False
-    try:
-        float(value)
-    except ValueError:
-        return False
-    return True
+        return [p for i, v in enumerate(obj) for p in _booleans(v, f"{path}[{i}]")]
+    return [path] if isinstance(obj, bool) else []
 
 
 def _state(obj, system):
     """A coordinate or piecewise state that every mode of ``system`` can evolve."""
-    x = euclidean_state(obj["coords"]) if "coords" in obj else PiecewiseConstantFn.from_json(obj)
+    x = state_from_json(obj)
     if system is not None:
         for mode in system.modes:
             apply(mode, 0.0, x)
@@ -219,12 +147,7 @@ def _signal(obj, system):
 
 
 def _family(obj, system):
-    obj = {} if obj is None else obj
-    fam = SignalFamily(
-        tuple(obj.get("dwells", DEFAULT_DWELL_GRID)),
-        obj.get("max_switches", DEFAULT_MAX_SWITCHES),
-        tuple(obj.get("modes", range(system.n_modes))),
-    )
+    fam = SignalFamily.from_json(obj, system.n_modes)
     system.mode(max(fam.mode_ids))
     return fam
 
@@ -281,15 +204,7 @@ def validate_config(raw, overrides=None):
     if not isinstance(raw, dict):
         return None, ["config: expected a JSON object"]
     raw = _merged(raw, overrides or {})
-    errors = [
-        f"{path}: booleans are not accepted"
-        for path in _leaves(raw, "", lambda value, _: isinstance(value, bool))
-    ]
-    errors += [
-        f"{path}: must be a number, not a string"
-        for section in _SHAPES if isinstance(raw.get(section), dict)
-        for path in _leaves(raw[section], section, _numeric_string)
-    ]
+    errors = [f"{path}: booleans are not accepted" for path in _booleans(raw)]
 
     task = raw.get("task")
     if task not in TASKS:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks of its JSON
+readers.  A reader's error starts with the path of the field at fault within the
+object read, as in ``segments[1].dwell: ...``; a boolean is never a number."""
+
+import re
 
 
 class SwlyapError(Exception):
@@ -42,3 +46,58 @@ class UnstableTailError(SwlyapError, ValueError):
 
 class DegenerateInputError(SwlyapError, ValueError):
     """Input for which the requested quantity is not well defined (e.g. x = 0)."""
+
+
+# -- JSON field checks ----------------------------------------------------------
+
+# A message that starts with a field path, as in "segments[1].dwell: ...".
+_SUBPATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
+
+
+def under(path: str, message: str) -> str:
+    """``message`` about a value inside the field ``path``, prefixed with it."""
+    return f"{path}.{message}" if _SUBPATH.match(message) else f"{path}: {message}"
+
+
+def read_at(path: str, read, value, *args):
+    """``read(value, *args)``, its ``StructuralError`` prefixed with ``path``."""
+    try:
+        return read(value, *args)
+    except StructuralError as exc:
+        raise StructuralError(under(path, str(exc))) from exc
+
+
+def json_object(value, need: str, *keys) -> dict:
+    """``value`` when it is a JSON object holding every one of ``keys``."""
+    if not isinstance(value, dict):
+        raise StructuralError(f"must be {need}")
+    for key in keys:
+        if key not in value:
+            raise StructuralError(f"{key}: required")
+    return value
+
+
+def json_number(value, path: str) -> float:
+    """``value`` as a float when it is a JSON number within the double range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the double range
+            pass
+    raise StructuralError(f"{path}: must be a number")
+
+
+def json_integer(value, path: str) -> int:
+    """``value`` as an int; an integral float such as ``5.0`` counts."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise StructuralError(f"{path}: must be an integer")
+
+
+def json_list(value, path: str, read, need: str, length: int | None = None) -> list:
+    """Each item of the JSON list ``value`` through ``read(item, item_path)``."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        raise StructuralError(f"{path}: must be {need}")
+    return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]

@@ -16,7 +16,7 @@ linear in time there), and adaptive Simpson for matrix modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,15 +69,7 @@ class LyapunovEstimate:
     upper_bound: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "witness": self.witness.to_json(),
-            "horizon": self.horizon,
-            "tail_bound": self.tail_bound,
-            "upper_bound": self.upper_bound,
-            "bound_direction": "lower",
-        }
+        return {**asdict(self), "witness": self.witness.to_json(), "bound_direction": "lower"}
 
 
 @dataclass(frozen=True)
@@ -91,9 +83,6 @@ class DerivativeEstimate:
     mode_id: int
     value: float
     t_grid: tuple
-
-    def to_json(self) -> dict:
-        return {"mode_id": self.mode_id, "value": self.value, "t_grid": list(self.t_grid)}
 
 
 def default_derivative_grid() -> tuple:

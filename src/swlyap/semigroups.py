@@ -28,7 +28,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, EstimationError, StructuralError, UnsupportedOperation
+from .errors import (
+    ContractViolation,
+    EstimationError,
+    StructuralError,
+    UnsupportedOperation,
+    json_list,
+    json_number,
+    json_object,
+)
 from .state_space import PiecewiseConstantFn, canonicalize
 
 __all__ = [
@@ -59,9 +67,9 @@ class MatrixMode:
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
-            raise StructuralError("matrix mode requires a nonempty square matrix")
+            raise StructuralError("A: must be a nonempty square matrix")
         if not all(math.isfinite(v) for r in rows for v in r):
-            raise StructuralError("matrix mode entries must be finite")
+            raise StructuralError("A: entries must be finite")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -101,13 +109,13 @@ class ShiftAmplifyMode:
         for name in ("domain_lo", "domain_hi", "amplify_lo", "amplify_hi", "factor"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.direction not in ("left", "right"):
-            raise StructuralError("direction must be 'left' or 'right'")
+            raise StructuralError("direction: must be 'left' or 'right'")
         if not self.domain_lo < self.domain_hi:
-            raise StructuralError("empty spatial domain")
+            raise StructuralError("domain: must satisfy lo < hi")
         if not (self.domain_lo <= self.amplify_lo <= self.amplify_hi <= self.domain_hi):
-            raise StructuralError("amplify interval must lie inside the domain")
+            raise StructuralError("amplify: must be an interval inside the domain")
         if not (self.factor > 0 and math.isfinite(self.factor)):
-            raise StructuralError("amplification factor must be positive and finite")
+            raise StructuralError("factor: must be positive and finite")
 
     @property
     def edge(self) -> float:
@@ -128,7 +136,7 @@ class DiagonalGroupMode:
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise StructuralError("group rate mu must be positive")
+            raise StructuralError("mu: must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -396,22 +404,29 @@ def mode_to_json(mode) -> dict:
     raise StructuralError(f"unknown mode type {type(mode).__name__}")
 
 
+def _row(value, path):
+    return json_list(value, path, json_number, "a list of numbers")
+
+
+def _interval(value, path):
+    return json_list(value, path, json_number, "a [lo, hi] pair of numbers", 2)
+
+
 def mode_from_json(obj: dict):
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError) as exc:
-        raise StructuralError("mode JSON needs a 'kind' field") from exc
-    try:
-        if kind == "matrix":
-            return matrix_mode(obj["A"])
-        if kind == "shift_amplify":
-            lo, hi = obj["domain"]
-            alo, ahi = obj["amplify"]
-            return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, obj["factor"])
-        if kind == "diagonal_group":
-            return DiagonalGroupMode(obj["mu"])
-        if kind == "half_line_shift":
-            return HalfLineShiftMode()
-    except KeyError as exc:
-        raise StructuralError(f"{kind} mode JSON needs a {exc} field") from exc
+    """The mode ``mode_to_json`` wrote; errors name the field, as in ``A[0][1]: ...``."""
+    need = "an object with a 'kind'"
+    kind = json_object(obj, need, "kind")["kind"]
+    if kind == "matrix":
+        A = json_object(obj, need, "A")["A"]
+        return MatrixMode(tuple(json_list(A, "A", _row, "a list of rows of numbers")))
+    if kind == "shift_amplify":
+        json_object(obj, need, "domain", "direction", "amplify", "factor")
+        lo, hi = _interval(obj["domain"], "domain")
+        alo, ahi = _interval(obj["amplify"], "amplify")
+        factor = json_number(obj["factor"], "factor")
+        return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, factor)
+    if kind == "diagonal_group":
+        return DiagonalGroupMode(json_number(json_object(obj, need, "mu")["mu"], "mu"))
+    if kind == "half_line_shift":
+        return HalfLineShiftMode()
     raise StructuralError(f"unknown mode kind {kind!r}")

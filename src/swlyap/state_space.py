@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, StructuralError
+from .errors import InvalidStateError, StructuralError, json_list, json_number, json_object
 
 __all__ = [
     "PiecewiseConstantFn",
@@ -28,6 +28,7 @@ __all__ = [
     "canonicalize",
     "linear_combine",
     "euclidean_state",
+    "state_from_json",
     "state_norm",
 ]
 
@@ -140,11 +141,12 @@ class PiecewiseConstantFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PiecewiseConstantFn":
-        try:
-            lo, hi = obj["domain"]
-            return cls(lo, hi, tuple(obj["breaks"]), tuple(obj["values"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"bad piecewise-constant JSON: {exc}") from exc
+        obj = json_object(obj, "an object with 'domain', 'breaks' and 'values'",
+                          "domain", "breaks", "values")
+        lo, hi = json_list(obj["domain"], "domain", json_number, "a [lo, hi] pair of numbers", 2)
+        breaks, values = (json_list(obj[key], key, json_number, "a list of numbers")
+                          for key in ("breaks", "values"))
+        return cls(lo, hi, tuple(breaks), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,9 @@ class NormSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         if self.kind not in ("lp", "euclidean"):
-            raise StructuralError(f"unknown norm kind {self.kind!r}")
+            raise StructuralError("kind: must be 'lp' or 'euclidean'")
         if self.kind == "lp" and not (math.isfinite(self.p) and self.p >= 1.0):
-            raise StructuralError("L^p exponent must satisfy 1 <= p < infinity")
+            raise StructuralError("p: must satisfy 1 <= p < infinity")
 
     @classmethod
     def euclidean(cls) -> "NormSpec":
@@ -174,7 +176,8 @@ class NormSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormSpec":
-        return cls(obj.get("p", 2.0), obj.get("kind", "lp"))
+        obj = json_object(obj, "an object with 'kind' and 'p'")
+        return cls(json_number(obj.get("p", 2.0), "p"), obj.get("kind", "lp"))
 
 
 def canonicalize(f: PiecewiseConstantFn) -> PiecewiseConstantFn:
@@ -257,6 +260,18 @@ def euclidean_state(coords) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidStateError("coordinate state has non-finite entries")
     return x
+
+
+def state_from_json(obj: dict):
+    """A coordinate state from ``{"coords": [...]}``, else a piecewise-constant one."""
+    if isinstance(obj, dict) and "coords" in obj:
+        coords = json_list(obj["coords"], "coords", json_number, "a list of numbers")
+        return euclidean_state(coords)
+    if isinstance(obj, dict) and {"domain", "breaks", "values"} <= obj.keys():
+        return PiecewiseConstantFn.from_json(obj)
+    raise StructuralError(
+        "must be an object with 'coords', or with 'domain', 'breaks' and 'values'"
+    )
 
 
 def state_norm(x, spec: NormSpec) -> float:

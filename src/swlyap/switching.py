@@ -23,7 +23,16 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ContractViolation, FamilySizeError, StructuralError, SwlyapError
+from .errors import (
+    ContractViolation,
+    FamilySizeError,
+    StructuralError,
+    json_integer,
+    json_list,
+    json_number,
+    json_object,
+    read_at,
+)
 from .semigroups import MatrixMode, apply, mode_from_json, mode_state_kind
 from .state_space import NormSpec, state_norm
 
@@ -82,12 +91,15 @@ class SwitchingSignal:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchingSignal":
-        try:
-            return cls(tuple((m, d) for m, d in obj["segments"]), obj["tail"])
-        except SwlyapError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"bad signal JSON: {exc}") from exc
+        obj = json_object(obj, "an object with 'segments' and 'tail'", "segments", "tail")
+        segs = json_list(obj["segments"], "segments", _segment, "a list of [mode, dwell] pairs")
+        return cls(tuple(segs), json_integer(obj["tail"], "tail"))
+
+
+def _segment(value, path):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise StructuralError(f"{path}: must be a [mode, dwell] pair")
+    return json_integer(value[0], f"{path}.mode"), json_number(value[1], f"{path}.dwell")
 
 
 @dataclass(frozen=True)
@@ -117,16 +129,11 @@ class SwitchedSystem:
     def from_json(cls, obj: dict) -> "SwitchedSystem":
         """Modes from ``obj["modes"]``, named ``modes[i]`` in errors.  The norm
         defaults to L^2 for function-space modes and is Euclidean otherwise."""
-        if not isinstance(obj["modes"], list):
-            raise StructuralError("modes: expected a list of mode objects")
-        modes = []
-        for i, mode in enumerate(obj["modes"]):
-            try:
-                modes.append(mode_from_json(mode))
-            except (SwlyapError, TypeError, ValueError) as exc:
-                raise StructuralError(f"modes[{i}]: {exc}") from exc
+        obj = json_object(obj, "an object with a 'modes' list", "modes")
+        modes = json_list(obj["modes"], "modes", lambda m, path: read_at(path, mode_from_json, m),
+                          "a list of mode objects")
         if "norm" in obj:
-            return cls(tuple(modes), NormSpec.from_json(obj["norm"]))
+            return cls(tuple(modes), read_at("norm", NormSpec.from_json, obj["norm"]))
         kinds = {mode_state_kind(m) for m in modes} - {"any"}
         return cls(tuple(modes), NormSpec(2.0) if kinds == {"function"} else NormSpec.euclidean())
 
@@ -231,6 +238,19 @@ class SignalFamily:
     @classmethod
     def default(cls, n_modes: int) -> "SignalFamily":
         return cls(DEFAULT_DWELL_GRID, DEFAULT_MAX_SWITCHES, tuple(range(n_modes)))
+
+    @classmethod
+    def from_json(cls, obj: dict | None, n_modes: int) -> "SignalFamily":
+        """The family of ``obj``'s fields; a missing one, or a null ``obj``, takes
+        the default, with every one of ``n_modes`` modes."""
+        obj = json_object({} if obj is None else obj, "an object or null")
+        dwells = obj.get("dwells", list(DEFAULT_DWELL_GRID))
+        modes = obj.get("modes", list(range(n_modes)))
+        return cls(
+            tuple(json_list(dwells, "dwells", json_number, "a list of numbers")),
+            json_integer(obj.get("max_switches", DEFAULT_MAX_SWITCHES), "max_switches"),
+            tuple(json_list(modes, "modes", json_integer, "a list of integer mode ids")),
+        )
 
 
 def family_size(fam: SignalFamily) -> int:

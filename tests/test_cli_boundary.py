@@ -1,9 +1,11 @@
 """The CLI boundary: every malformed config exits 2 with its field path, every
 numerical failure exits 1 with a message, and none prints a traceback."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +36,19 @@ def pair_config(**fields):
 
 def scalar_config(a):
     return {"system": {"modes": [{"kind": "matrix", "A": [[a]]}]}, "state": {"coords": [1.0]}}
+
+
+def mode_config(**mode):
+    """A one-mode coordinate config; its mode is a matrix mode unless ``kind`` is given."""
+    return {"system": {"modes": [{"kind": "matrix", **mode}]}, "state": {"coords": [1.0]}}
+
+
+def shift_config(**fields):
+    """A one-mode transport config whose shift_amplify mode has ``fields`` replaced."""
+    mode = {"kind": "shift_amplify", "domain": [0.0, 1.0], "direction": "left",
+            "amplify": [0.0, 0.25], "factor": 2.0, **fields}
+    return {"system": {"modes": [mode]},
+            "state": {"domain": [0.0, 1.0], "breaks": [], "values": [1.0]}}
 
 
 # (id, argv, config document, exit code, stderr prefix)
@@ -84,15 +99,16 @@ PROBES = [
     ("seed-negative", ["certify"], {"system": PAIR, "seed": -1}, 2, "seed: "),
     ("seed-huge-integer", ["worst-case"], pair_config(horizon=10**400), 2, "horizon: "),
     ("matrix-text", ["worst-case"], {"system": {"modes": [{"kind": "matrix", "A": "zz"}]},
-                                     "state": {"coords": [1.0]}}, 2, "system.modes[0]: "),
+                                     "state": {"coords": [1.0]}}, 2,
+     "system.modes[0].A: must be a list of rows of numbers"),
     ("mode-missing-field", ["worst-case"], {"system": {"modes": [{"kind": "matrix"}]},
                                             "state": {"coords": [1.0]}}, 2,
-     "system.modes[0]: matrix mode JSON needs a 'A' field"),
+     "system.modes[0].A: required"),
     ("modes-missing", ["worst-case"], {"system": {}, "state": UNIT}, 2, "system.modes: required"),
     ("out-dir-a-number", ["worst-case"], pair_config(out_dir=5), 2, "out_dir: "),
     ("family-numeric-strings", ["worst-case"],
      pair_config(family={"dwells": "25", "max_switches": "1"}), 2,
-     "family.dwells: must be a number"),
+     "family.dwells: must be a list of numbers"),
     ("coords-numeric-string", ["worst-case"], pair_config(state={"coords": ["2", 1.0]}), 2,
      "state.coords[0]: must be a number"),
     ("matrix-numeric-string", ["worst-case"],
@@ -100,7 +116,7 @@ PROBES = [
      2, "system.modes[0].A[0][0]: must be a number"),
     ("segments-numeric-strings", ["simulate"],
      pair_config(signal={"segments": [["0", "0.5"]], "tail": 0}), 2,
-     "signal.segments[0][0]: must be a number"),
+     "signal.segments[0].mode: must be an integer"),
     ("simulate-grid-too-fine", ["simulate"],
      pair_config(signal={"segments": [], "tail": 0}, dt=1e-8, horizon=10.0), 2, "dt: "),
     ("scalar-overflow-worst-case", ["worst-case"], scalar_config(1000.0), 1,
@@ -122,6 +138,22 @@ PROBES = [
     ("certify-horizon-too-long", ["certify"], pair_config(horizon=1e5), 2, "horizon: certify"),
     ("certify-too-many-samples", ["certify"], pair_config(n_samples=10**5), 2,
      "n_samples: certify"),
+    # each mode and norm field is checked by its reader, and named by its path
+    ("matrix-a-number", ["worst-case"], mode_config(A=5), 2,
+     "system.modes[0].A: must be a list of rows of numbers"),
+    ("matrix-a-flat-list", ["worst-case"], mode_config(A=[5]), 2,
+     "system.modes[0].A[0]: must be a list of numbers"),
+    ("mu-a-list", ["worst-case"], mode_config(kind="diagonal_group", mu=[1]), 2,
+     "system.modes[0].mu: must be a number"),
+    ("domain-a-number", ["worst-case"], shift_config(domain=5), 2,
+     "system.modes[0].domain: must be a [lo, hi] pair of numbers"),
+    ("direction-a-number", ["worst-case"], shift_config(direction=5), 2,
+     "system.modes[0].direction: must be 'left' or 'right'"),
+    ("factor-a-list", ["worst-case"], shift_config(factor=[2]), 2,
+     "system.modes[0].factor: must be a number"),
+    ("norm-p-a-list", ["worst-case"],
+     pair_config(system={**PAIR, "norm": {"kind": "euclidean", "p": [2]}}), 2,
+     "system.norm.p: must be a number"),
 ]
 
 
@@ -190,7 +222,7 @@ def test_unparsable_flag_is_an_argparse_error(capsys):
 def test_numeric_strings_are_rejected_only_where_numbers_belong():
     doc = {**BASES["certify"], "system": {**BASES["certify"]["system"],
                                           "norm": {"kind": "lp", "p": "2"}}}
-    assert validate_config(doc)[1] == ["system.norm.p: must be a number, not a string"]
+    assert validate_config(doc)[1] == ["system.norm.p: must be a number"]
     # text fields keep their strings; a mode kind that reads as a number is
     # still only an unknown kind
     assert validate_config(BASES["certify"])[1] == []
@@ -255,9 +287,11 @@ BASES = {
     "certify": {
         "task": "certify",
         "system": {"modes": [{"kind": "shift_amplify", "domain": [0.0, 1.0],
-                              "direction": "left", "amplify": [0.0, 0.25], "factor": 2.0}],
+                              "direction": "left", "amplify": [0.0, 0.25], "factor": 2.0},
+                             {"kind": "half_line_shift"}],
                    "norm": {"kind": "lp", "p": 2.0}},
         "state": {"domain": [0.0, 1.0], "breaks": [0.5], "values": [1.0, 2.0]},
+        "family": {"dwells": [0.5], "max_switches": 1, "modes": [1, 0]},
     },
     "reproduce": {"task": "reproduce", "example": "remark-3.2", "params": {"n": 3, "p": 2.0},
                   "out_dir": "out"},
@@ -293,6 +327,13 @@ def _replace(doc, path, value):
     return doc
 
 
+# Every error starts with the path of a config field ...
+FIELD_PATH = re.compile("(%s)[.[:]" % "|".join(f.name for f in dataclasses.fields(RunConfig)))
+# ... and none carries Python's own words for a value of the wrong type.
+PYTHON_TEXT = ("argument must be", "could not convert", "cannot unpack", "object is not",
+               "has no attribute", "not iterable")
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
 def test_validate_config_never_raises(field, value):
@@ -300,6 +341,9 @@ def test_validate_config_never_raises(field, value):
     cfg, errors = validate_config(_replace(BASES[name], path, value))
     if cfg is None:
         assert errors and all(isinstance(e, str) and ": " in e for e in errors)
+        for error in errors:
+            assert FIELD_PATH.match(error), error
+            assert not any(text in error for text in PYTHON_TEXT), error
     else:
         assert isinstance(cfg, RunConfig) and errors == []
         assert math.isfinite(cfg.horizon) and cfg.horizon > 0

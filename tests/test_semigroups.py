@@ -253,9 +253,9 @@ def test_mode_validation():
 
 
 def test_mode_json_names_missing_field():
-    with pytest.raises(StructuralError, match="matrix mode JSON needs a 'A' field"):
+    with pytest.raises(StructuralError, match="^A: required"):
         mode_from_json({"kind": "matrix"})
-    with pytest.raises(StructuralError, match="'factor'"):
+    with pytest.raises(StructuralError, match="^factor: required"):
         mode_from_json({"kind": "shift_amplify", "domain": [0, 1], "direction": "left",
                         "amplify": [0, 0.5]})
 

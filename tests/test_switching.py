@@ -241,7 +241,8 @@ class TestSystemValidation:
         # from_json passes the constructor's error through unwrapped
         with pytest.raises(StructuralError, match=r"^segments\[0\]\.dwell: "):
             SwitchingSignal.from_json({"segments": [[0, 0.0]], "tail": 0})
-        with pytest.raises(StructuralError, match="^bad signal JSON"):
+        with pytest.raises(StructuralError,
+                           match=r"^segments: must be a list of \[mode, dwell\] pairs"):
             SwitchingSignal.from_json({"segments": 3, "tail": 0})
 
     def test_system_from_json(self):
@@ -257,7 +258,7 @@ class TestSystemValidation:
         assert l1.norm == NormSpec(1.0)
         with pytest.raises(StructuralError, match=r"^modes\[1\]: unknown mode kind"):
             SwitchedSystem.from_json({"modes": [{"kind": "half_line_shift"}, {"kind": "x"}]})
-        with pytest.raises(StructuralError, match="^modes: expected a list"):
+        with pytest.raises(StructuralError, match="^modes: must be a list of mode objects"):
             SwitchedSystem.from_json({"modes": 5})
 
     def test_signal_json_roundtrip(self):
