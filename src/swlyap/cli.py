@@ -95,7 +95,7 @@ def _parse(errors, path, build, *args):
         return None
     try:
         return build(*args)
-    except (SwlyapError, OverflowError) as exc:  # OverflowError: an L^p norm past the double range
+    except SwlyapError as exc:
         errors.append(under(path, str(exc)))
     return None
 

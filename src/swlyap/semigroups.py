@@ -277,7 +277,7 @@ def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
         return canonicalize(f)
     lo, hi = f.domain
     if t >= hi - lo:
-        return PiecewiseConstantFn.zero(lo, hi)
+        return PiecewiseConstantFn._from_floats(lo, hi, (), (0.0,))
     # output s carries f(s + shift); amplified on [w_lo, w_hi), the points
     # whose characteristic crossed the edge during [0, t]
     c, g = mode.edge, mode.factor
@@ -299,7 +299,7 @@ def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
             breaks.append(a)
             values.append(v)
         a = b
-    return PiecewiseConstantFn(lo, hi, tuple(breaks[1:]), tuple(values))
+    return PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks[1:]), tuple(values))
 
 
 def transport_events(mode, f: PiecewiseConstantFn, d: float) -> list:
@@ -355,7 +355,7 @@ def apply(mode, t: float, x):
             return x * scale
         if isinstance(x, PiecewiseConstantFn):
             return canonicalize(
-                PiecewiseConstantFn(
+                PiecewiseConstantFn._from_floats(
                     x.domain_lo, x.domain_hi, x.breaks, tuple(v * scale for v in x.values)
                 )
             )

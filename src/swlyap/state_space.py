@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import le
 
 import numpy as np
 
@@ -33,6 +34,30 @@ __all__ = [
 ]
 
 
+def _check_structure(lo: float, hi: float, breaks: tuple, values: tuple) -> None:
+    """Raise StructuralError unless the domain is finite with lo < hi, there is one
+    more value than breaks, and the breaks are finite, sorted and inside the domain.
+    Valid fields pass one test at C speed; only a failure runs the loop naming it."""
+    isfinite = math.isfinite
+    if (isfinite(lo) and isfinite(hi) and lo < hi and len(values) == len(breaks) + 1
+            and all(map(isfinite, breaks)) and all(map(le, breaks, breaks[1:]))
+            and (not breaks or lo <= breaks[0] and breaks[-1] <= hi)):
+        return
+    if not (isfinite(lo) and isfinite(hi)):
+        raise StructuralError("domain endpoints must be finite")
+    if not lo < hi:
+        raise StructuralError("domain_lo must be strictly below domain_hi")
+    if len(values) != len(breaks) + 1:
+        raise StructuralError(f"need {len(breaks) + 1} values for {len(breaks)} "
+                              f"breakpoints, got {len(values)}")
+    for prev, b in zip((lo, *breaks), breaks):
+        if not isfinite(b):
+            raise StructuralError("breakpoints must be finite")
+        if b < prev:
+            raise StructuralError("breakpoints must be sorted")
+    raise StructuralError("breakpoints must lie within the domain")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantFn:
     """A real function on [domain_lo, domain_hi] that is constant between breakpoints.
@@ -41,10 +66,10 @@ class PiecewiseConstantFn:
     where the edges are ``domain_lo, *breaks, domain_hi``.  By convention the
     function is identically zero outside its domain; evaluation respects that.
 
-    The constructor checks structure only (sorted breakpoints inside the
-    domain, one more value than breakpoints).  Use :func:`canonicalize` to
-    merge equal neighbours and drop zero-width pieces; canonical forms are
-    unique, so ``==`` on canonical functions is function equality.
+    The constructor converts its fields to floats and :meth:`_from_floats` takes
+    the float tuples a kernel built as they are; both run :func:`_check_structure`.
+    :func:`canonicalize` merges equal neighbours and drops zero-width pieces;
+    ``==`` on canonical functions is function equality.
     """
 
     domain_lo: float
@@ -55,28 +80,19 @@ class PiecewiseConstantFn:
     def __post_init__(self):
         object.__setattr__(self, "domain_lo", float(self.domain_lo))
         object.__setattr__(self, "domain_hi", float(self.domain_hi))
-        object.__setattr__(self, "breaks", tuple(float(b) for b in self.breaks))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not (math.isfinite(self.domain_lo) and math.isfinite(self.domain_hi)):
-            raise StructuralError("domain endpoints must be finite")
-        if not self.domain_lo < self.domain_hi:
-            raise StructuralError("domain_lo must be strictly below domain_hi")
-        if len(self.values) != len(self.breaks) + 1:
-            raise StructuralError(
-                f"need {len(self.breaks) + 1} values for {len(self.breaks)} "
-                f"breakpoints, got {len(self.values)}"
-            )
-        prev = self.domain_lo
-        for b in self.breaks:
-            if not math.isfinite(b):
-                raise StructuralError("breakpoints must be finite")
-            if b < prev:
-                raise StructuralError("breakpoints must be sorted")
-            prev = b
-        if self.breaks and self.breaks[-1] > self.domain_hi:
-            raise StructuralError("breakpoints must lie within the domain")
+        object.__setattr__(self, "breaks", tuple(map(float, self.breaks)))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        _check_structure(self.domain_lo, self.domain_hi, self.breaks, self.values)
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _from_floats(cls, lo: float, hi: float, breaks: tuple, values: tuple):
+        """The constructor's check without its float conversion or dataclass ``__init__``."""
+        _check_structure(lo, hi, breaks, values)
+        f = object.__new__(cls)
+        f.__dict__.update(domain_lo=lo, domain_hi=hi, breaks=breaks, values=values)
+        return f
 
     @classmethod
     def zero(cls, domain_lo: float, domain_hi: float) -> "PiecewiseConstantFn":
@@ -198,11 +214,12 @@ def canonicalize(f: PiecewiseConstantFn) -> PiecewiseConstantFn:
     values = tuple(p[2] for p in merged)
     if breaks == f.breaks and values == f.values:
         return f
-    return PiecewiseConstantFn(f.domain_lo, f.domain_hi, breaks, values)
+    return PiecewiseConstantFn._from_floats(f.domain_lo, f.domain_hi, breaks, values)
 
 
 def lp_norm_pow(f: PiecewiseConstantFn, p: float) -> float:
-    """The p-th power of the L^p norm, sum of |v|^p * piece length."""
+    """The p-th power of the L^p norm, sum of |v|^p * piece length; raises
+    InvalidStateError when a value or the sum is not finite."""
     total = 0.0
     if p == 1.0:
         for lo, hi, v in f.pieces():
@@ -215,10 +232,15 @@ def lp_norm_pow(f: PiecewiseConstantFn, p: float) -> float:
                 raise InvalidStateError("non-finite value in piecewise function")
             total += v * v * (hi - lo)
     else:
-        for lo, hi, v in f.pieces():
-            if not math.isfinite(v):
-                raise InvalidStateError("non-finite value in piecewise function")
-            total += abs(v) ** p * (hi - lo)
+        try:
+            for lo, hi, v in f.pieces():
+                if not math.isfinite(v):
+                    raise InvalidStateError("non-finite value in piecewise function")
+                total += abs(v) ** p * (hi - lo)
+        except OverflowError:  # |v|^p past the double range
+            total = math.inf
+    if not math.isfinite(total):
+        raise InvalidStateError("L^p norm is not finite")
     return total
 
 

@@ -51,6 +51,12 @@ def shift_config(**fields):
             "state": {"domain": [0.0, 1.0], "breaks": [], "values": [1.0]}}
 
 
+def half_line_config(p):
+    """A one-mode half-line config in L^p whose state is the constant 1e300."""
+    return {"system": {"modes": [{"kind": "half_line_shift"}], "norm": {"kind": "lp", "p": p}},
+            "state": {"domain": [0.0, 1.0], "breaks": [], "values": [1e300]}}
+
+
 # (id, argv, config document, exit code, stderr prefix)
 PROBES = [
     ("modes-not-a-list", ["worst-case"], {"system": {"modes": 5}, "state": UNIT}, 2,
@@ -151,6 +157,11 @@ PROBES = [
      "system.modes[0].direction: must be 'left' or 'right'"),
     ("factor-a-list", ["worst-case"], shift_config(factor=[2]), 2,
      "system.modes[0].factor: must be a number"),
+    # an L^p norm past the double range is a state error, for every p
+    ("state-norm-overflows-p3", ["worst-case"], half_line_config(3), 2,
+     "state: L^p norm is not finite"),
+    ("state-norm-overflows-p2", ["worst-case"], half_line_config(2), 2,
+     "state: L^p norm is not finite"),
     ("norm-p-a-list", ["worst-case"],
      pair_config(system={**PAIR, "norm": {"kind": "euclidean", "p": [2]}}), 2,
      "system.norm.p: must be a number"),

@@ -15,6 +15,7 @@ from swlyap import (
     lp_norm,
     state_norm,
 )
+from swlyap.state_space import lp_norm_pow
 
 L1 = NormSpec(1.0)
 L2 = NormSpec(2.0)
@@ -46,6 +47,18 @@ class TestLpNorm:
         f = PiecewiseConstantFn(0.0, 1.0, (), (math.inf,))
         with pytest.raises(InvalidStateError):
             lp_norm(f, L2)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1.5])
+    def test_sum_past_the_double_range_raises(self, p):
+        # |v|^p overflows a double for p = 3 and 1.5, v*v for p = 2, and the
+        # sum of two finite terms for p = 1
+        f = PiecewiseConstantFn(0.0, 2.0, (1.0,), (1e300 if p > 1.0 else 1.7e308, 1.0e308))
+        with pytest.raises(InvalidStateError, match="^L\\^p norm is not finite$"):
+            lp_norm_pow(f, p)
+        with pytest.raises(InvalidStateError, match="^L\\^p norm is not finite$"):
+            lp_norm(f, NormSpec(p))
+        # a finite sum still passes
+        assert lp_norm_pow(PiecewiseConstantFn.constant(0.0, 1.0, 1e100), p) == 1e100**p
 
     def test_general_p(self):
         f = PiecewiseConstantFn.constant(0.0, 2.0, 3.0)

@@ -1,8 +1,10 @@
 """The transport kernel and the closed-form transport energies, checked
 against a copy of the sample-then-canonicalize kernel they replace and
-against Gauss quadrature of the evolved norm."""
+against Gauss quadrature of the evolved norm; and the internal constructor
+the kernels build their states with, checked against the public one."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from swlyap import (
+    DiagonalGroupMode,
     HalfLineShiftMode,
     NormSpec,
     PiecewiseConstantFn,
     ShiftAmplifyMode,
+    StructuralError,
     SwitchedSystem,
     SwitchingSignal,
     apply,
@@ -175,6 +179,76 @@ class TestKernelMatchesReference:
         mode, f, t = case
         out = apply(mode, t, f)
         assert canonicalize(out) is out
+
+
+# -- the internal constructor -------------------------------------------------------
+
+
+def assert_kernel_built(out):
+    """``out`` holds Python floats in tuples, is canonical, and equals the
+    function the public constructor builds from the same fields."""
+    assert type(out.domain_lo) is float and type(out.domain_hi) is float
+    for field in (out.breaks, out.values):
+        assert type(field) is tuple and all(type(v) is float for v in field)
+    assert canonicalize(out) is out
+    assert PiecewiseConstantFn(out.domain_lo, out.domain_hi, out.breaks, out.values) == out
+
+
+class TestInternalConstructor:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(transport_case())
+    def test_transport_states(self, case):
+        mode, f, t = case
+        # t = 0 and t = the domain length are the kernel's two early exits
+        for tau in (t, 0.0, f.domain_hi - f.domain_lo):
+            assert_kernel_built(apply(mode, tau, f))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(transport_case(), st.sampled_from((0.0, 0.5, 3.0, 800.0)))
+    def test_group_scaled_states(self, case, t):
+        _, f, _ = case
+        # e^{-800} underflows to 0, which merges every piece
+        assert_kernel_built(apply(DiagonalGroupMode(1.0), t, f))
+
+    def test_canonicalize_of_a_non_canonical_state(self):
+        # zero-width pieces at both domain ends and inside, equal neighbours
+        f = PiecewiseConstantFn(0.0, 1.0, (0.0, 0.25, 0.5, 0.5, 0.75, 1.0),
+                                (4.0, 1.0, 1.0, 9.0, 2.0, 3.0, 5.0))
+        out = canonicalize(f)
+        assert out.breaks == (0.5, 0.75) and out.values == (1.0, 2.0, 3.0)
+        assert_kernel_built(out)
+
+
+PUBLIC = PiecewiseConstantFn
+INTERNAL = PiecewiseConstantFn._from_floats
+NAN, INF = math.nan, math.inf
+
+# (id, lo, hi, breaks, values, message)
+REJECTED = [
+    ("break-above-domain", 0.0, 1.0, (0.5, 1.5), (1.0, 2.0, 3.0),
+     "breakpoints must lie within the domain"),
+    ("break-below-domain", 0.0, 1.0, (-0.5,), (1.0, 2.0), "breakpoints must be sorted"),
+    ("unsorted-breaks", 0.0, 1.0, (0.75, 0.25), (1.0, 2.0, 3.0), "breakpoints must be sorted"),
+    ("nan-break", 0.0, 1.0, (0.5, NAN), (1.0, 2.0, 3.0), "breakpoints must be finite"),
+    ("infinite-break", 0.0, 1.0, (INF,), (1.0, 2.0), "breakpoints must be finite"),
+    ("infinite-domain-end", 0.0, INF, (), (1.0,), "domain endpoints must be finite"),
+    ("nan-domain-end", NAN, 1.0, (), (1.0,), "domain endpoints must be finite"),
+    ("empty-domain", 1.0, 1.0, (), (1.0,), "domain_lo must be strictly below domain_hi"),
+    ("reversed-domain", 1.0, 0.0, (), (1.0,), "domain_lo must be strictly below domain_hi"),
+    ("value-count", 0.0, 1.0, (0.5,), (1.0,), "need 2 values for 1 breakpoints, got 1"),
+    # two faults: the first in the old loop's order is the one reported
+    ("outside-then-nan", 0.0, 1.0, (1.5, NAN), (1.0, 2.0, 3.0), "breakpoints must be finite"),
+    ("unsorted-and-count", 0.0, 1.0, (0.75, 0.25), (1.0,),
+     "need 3 values for 2 breakpoints, got 1"),
+]
+
+
+@pytest.mark.parametrize("build", [PUBLIC, INTERNAL], ids=["public", "internal"])
+@pytest.mark.parametrize("lo, hi, breaks, values, message", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_both_entry_points_reject_with_one_message(build, lo, hi, breaks, values, message):
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        build(lo, hi, breaks, values)
 
 
 def closed_form_energy(mode, f, d, p):
