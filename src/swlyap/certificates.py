@@ -256,7 +256,9 @@ def condition_report(
 ) -> ConditionReport:
     """Check comparability and derivative conditions of an evaluator on samples.
 
-    ``v`` maps states to functional values.  Per sample the report records
+    ``v`` maps states to functional values; it runs once at each sample and
+    once per mode and derivative grid step, the sample's own value being
+    shared by every mode's quotients.  Per sample the report records
     the ratio v / ||x||^2 and whether every mode's difference quotient stays
     below -||x||^2 (1 - kappa_tol), with kappa_tol = 0.05.  Library errors
     raised by the evaluator are recorded per sample rather than aborting the
@@ -279,7 +281,7 @@ def condition_report(
             dvals = []
             ok = True
             for j in range(sys.n_modes):
-                est = generalized_derivative(v, sys, j, x, deriv_grid)
+                est = generalized_derivative(v, sys, j, x, deriv_grid, v0=val)
                 dvals.append(est.value)
                 if not est.value <= -n2 * (1.0 - _KAPPA_TOL):
                     ok = False

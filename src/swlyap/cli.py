@@ -70,6 +70,9 @@ EXAMPLES = tuple(_PARAMS)
 # The most time points `simulate` evaluates, horizon/dt + 1, each evolved from
 # t = 0; also the most signal evaluations `certify` makes over its samples.
 _GRID_LIMIT = 1_000_000
+# certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
+# slope needs two points of it.
+_CERTIFY_MIN_HORIZON = 0.5
 
 
 @dataclass
@@ -139,6 +142,14 @@ def _state(obj, system):
     return x
 
 
+def _gram_state(obj, system):
+    """A state for ``gram``, whose argmax set is undefined at x = 0."""
+    x = _state(obj, system)
+    if isinstance(x, np.ndarray) and not x.any():
+        raise StructuralError("must be nonzero: every gram candidate ties at x = 0")
+    return x
+
+
 def _signal(obj, system):
     sig = SwitchingSignal.from_json(obj)
     if system is not None:
@@ -154,8 +165,9 @@ def _family(obj, system):
 
 def _certify_cost(errors, system, family, n_samples, horizon):
     """Bound the signal evaluations of ``certify``: per sample and family
-    signal, a norm at each of horizon/0.25 time points and 1 + 18 per mode
-    for the condition report.  The largest factor names the field to blame."""
+    signal, a norm at each of horizon/0.25 time points and at most 1 + 18 per
+    mode for the condition report (it makes 1 + 17; the bound is kept so the
+    same configs are refused).  The largest factor names the field to blame."""
     cap = _GRID_LIMIT + 1  # keeps the product small; one factor above the limit exceeds it
     factors = {
         "n_samples": min(n_samples, cap),
@@ -239,13 +251,17 @@ def validate_config(raw, overrides=None):
         horizon, dt = scalars["horizon"], scalars["dt"]  # positive, or None on error
         if horizon and dt and horizon / dt + 1 > _GRID_LIMIT:
             errors.append(f"dt: horizon/dt + 1 time points exceed {_GRID_LIMIT:,}")
-    state = _field(errors, raw, "state", task in ("simulate", "worst_case"), _state, system)
+    state = _field(errors, raw, "state", task in ("simulate", "worst_case"),
+                   _gram_state if task == "gram" else _state, system)
     if system is not None:
         family = _field(errors, raw, "family", False, _family, system)
         if task == "certify":
             _parse(errors, "system.modes", _sampler, system)
             n_samples, horizon = scalars["n_samples"], scalars["horizon"]
-            if family and n_samples and horizon:
+            if horizon and horizon < _CERTIFY_MIN_HORIZON:
+                errors.append(f"horizon: certify needs at least {_CERTIFY_MIN_HORIZON}, "
+                              "two points of its 0.25 time grid to fit a rate")
+            elif family and n_samples and horizon:
                 _certify_cost(errors, system, family, n_samples, horizon)
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
@@ -523,8 +539,11 @@ def run(config: RunConfig) -> int:
         "gram": _run_gram,
         "reproduce": _run_reproduce,
     }
+    # Overflow and NaN are caught by the library's own finiteness checks, which
+    # raise; numpy's warning would only print a second line before the error.
     try:
-        return runners[config.task](config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return runners[config.task](config)
     except (SwlyapError, OverflowError, OSError) as exc:
         print(f"error in {config.task}: {exc}", file=sys.stderr)
         return 1

@@ -265,8 +265,11 @@ def v_sup(
 
     The result is a lower bound for the true sup over all signals; ties are
     broken by enumeration order, so equal-cost signals report the earliest.
-    When a decay envelope is supplied the estimate also carries the certified
-    upper bound (K^2 / (2 mu)) ||x||^2 and a tail bound for the witness.
+    Each family signal's energy is integrated once: the value is the one the
+    scan (or the dwell refinement) found, and the witness is not
+    re-integrated.  Only when a decay envelope is supplied does the estimate
+    carry a tail bound for the witness, from ``trajectory_cost``, and the
+    certified upper bound (K^2 / (2 mu)) ||x||^2; without one both are None.
     """
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
@@ -282,9 +285,9 @@ def v_sup(
         best_sig, best_cost = _refine_dwells(
             sys, x, best_sig, best_cost, horizon, step
         )
-    _, tail = trajectory_cost(sys, best_sig, x, horizon, decay)
-    upper = None
+    tail = upper = None
     if decay is not None:
+        _, tail = trajectory_cost(sys, best_sig, x, horizon, decay)
         upper = decay.K**2 / (2.0 * decay.mu) * state_norm(x, sys.norm) ** 2
     return LyapunovEstimate(best_cost, best_sig, horizon, tail, "V", upper)
 
@@ -334,13 +337,15 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) ->
 
 
 def generalized_derivative(
-    v, sys: SwitchedSystem, mode_id: int, x, t_grid=None
+    v, sys: SwitchedSystem, mode_id: int, x, t_grid=None, v0: float | None = None
 ) -> DerivativeEstimate:
     """Difference-quotient estimate of the generalized derivative along one mode.
 
     ``v`` is any evaluator mapping states to values.  The minimum quotient over
     the decreasing grid upper-bounds the liminf, which is the conservative
     direction when checking a decay condition of the form <= -||x||^2.
+    ``v0`` is ``v(x)`` when the caller already holds it; when None it is
+    evaluated here, so ``v`` runs once per grid step plus once for x.
     """
     if t_grid is None:
         t_grid = default_derivative_grid()
@@ -350,7 +355,8 @@ def generalized_derivative(
     if t_grid[-1] < 1e-12:
         raise ContractViolation("smallest step is below the machine-safe threshold")
     mode = sys.mode(mode_id)
-    v0 = v(x)
+    if v0 is None:
+        v0 = v(x)
     value = math.inf
     for t in t_grid:
         q = (v(apply(mode, t, x)) - v0) / t

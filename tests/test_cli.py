@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from swlyap import lyapunov
 from swlyap.cli import main, run, validate_config
 
 
@@ -168,6 +169,33 @@ class TestDeterminism:
         parsed = json.loads(docs[0])
         assert parsed["decay"]["mu"] == pytest.approx(1.0, rel=0.05)
         assert "gronwall" in parsed
+
+
+class TestCertifyCost:
+    def test_certify_integrates_each_energy_once(self, tmp_path, monkeypatch):
+        # V(x) once per sample and once per mode and derivative step, each a
+        # sweep of the family; the sample's own V(x) serves every mode.
+        raw = {
+            "system": {"modes": [{"kind": "matrix", "A": [[-1.0]]},
+                                 {"kind": "matrix", "A": [[-2.0]]}]},
+            "n_samples": 2,
+            "horizon": 1.0,
+            "family": {"dwells": [0.5], "max_switches": 1},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        real, calls = lyapunov.trajectory_cost, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lyapunov, "trajectory_cost", counting)
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        n_samples, n_modes, family = 2, 2, 2 + 2 * 2 * 1
+        steps = len(lyapunov.default_derivative_grid())
+        assert steps == 17
+        assert len(calls) == n_samples * (1 + steps * n_modes) * family
 
 
 class TestGramTask:

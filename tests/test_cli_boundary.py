@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,8 +131,24 @@ PROBES = [
     ("scalar-overflow-certify", ["certify"], {**scalar_config(1000.0), "n_samples": 1}, 1,
      "error in certify: "),
     ("scalar-energy-overflow", ["worst-case"], scalar_config(40.0), 1, "error in worst_case: "),
+    # certify fits its rates on the time grid 0.25 k, so it needs two points
     ("certify-horizon-before-first-sample", ["certify"],
-     {**scalar_config(-1.0), "horizon": 0.1, "n_samples": 1}, 1, "error in certify: "),
+     {**scalar_config(-1.0), "horizon": 0.1, "n_samples": 1}, 2,
+     "horizon: certify needs at least 0.5"),
+    ("certify-horizon-one-grid-point", ["certify"],
+     {**scalar_config(-1.0), "horizon": 0.25, "n_samples": 1}, 2,
+     "horizon: certify needs at least 0.5"),
+    ("gram-zero-state", ["gram"], pair_config(state={"coords": [0.0, 0.0]}), 2,
+     "state: must be nonzero"),
+    # a matrix product past the double range prints the error line alone
+    ("simulate-matmul-overflow", ["simulate"],
+     {"system": {"modes": [{"kind": "matrix", "A": [[5.0, 0.0], [0.0, 1.0]]}]},
+      "state": {"coords": [1e300, 1.0]}, "signal": {"segments": [], "tail": 0},
+      "dt": 1.0, "horizon": 10.0}, 1, "error in simulate: "),
+    ("worst-case-matmul-overflow", ["worst-case"],
+     {"system": {"modes": [{"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -2.0]]}]},
+      "state": {"coords": [1e200, 1e200]}, "family": {"dwells": [0.5], "max_switches": 0}},
+     1, "error in worst_case: "),
     # a section or field of the wrong JSON type is named with what it needs
     ("system-null", ["worst-case"], {"system": None, "state": UNIT}, 2,
      "system: must be an object with a 'modes' list"),
@@ -182,10 +199,14 @@ def test_probe(tmp_path, capsys, monkeypatch, argv, doc, code, prefix):
     monkeypatch.delenv("SWLYAP_OUT", raising=False)
     path = write_config(tmp_path, doc)
     out = [] if isinstance(doc, dict) and "out_dir" in doc else ["--out", str(tmp_path / "out")]
-    assert main([*argv, "--config", str(path), *out]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # it would print before the error
+        assert main([*argv, "--config", str(path), *out]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix), err
     assert "Traceback" not in err
+    if code == 1:  # a numerical failure prints one line
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_non_finite_matrix_energy_exits_1_without_hanging(tmp_path):
@@ -270,6 +291,14 @@ def test_certify_cost_bound_sits_at_the_limit():
         t0 = time.perf_counter()
         assert validate_config({**doc, "family": SMALL_FAMILY, **field})[1]
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_certify_horizon_minimum_is_two_grid_points():
+    doc = {"task": "certify", **scalar_config(-1.0), "n_samples": 1}
+    assert validate_config({**doc, "horizon": 0.5})[1] == []
+    assert validate_config({**doc, "horizon": 0.4999})[1][0].startswith("horizon: ")
+    # the other tasks take any positive horizon
+    assert validate_config({**doc, "task": "worst_case", "horizon": 0.1})[1] == []
 
 
 def test_params_are_parsed_once():

@@ -18,12 +18,14 @@ from swlyap import (
     generalized_derivative,
     lp_norm,
     matrix_mode,
+    family_size,
     state_norm,
     trajectory_cost,
     v_sup,
     v_tilde,
     v_tilde_single_mode,
 )
+from swlyap import lyapunov
 from swlyap.presets import (
     blowup_transport_pair,
     cascade_system,
@@ -157,6 +159,30 @@ class TestVSup:
             ) * math.sqrt(v_sup(sys_, y, fam, refine=False).value)
             assert sq <= bound + 1e-9
 
+    def test_each_family_signal_is_integrated_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return trajectory_cost(*args, **kwargs)
+
+        monkeypatch.setattr(lyapunov, "trajectory_cost", counting)
+        sys_ = commuting_diag_pair()
+        x = euclidean_state([1.0, 0.5])
+        fam = SignalFamily((0.5, 1.0), 1, (0, 1))
+        est = v_sup(sys_, x, fam, refine=False)
+        assert len(calls) == family_size(fam)
+        assert est.tail_bound is None and est.upper_bound is None
+        # the value is the witness's energy from the scan
+        assert est.value == trajectory_cost(sys_, est.witness, x, est.horizon)[0]
+        calls.clear()
+        tailed = v_sup(sys_, x, fam, refine=False, decay=DecayBound(1.0, 1.0))
+        assert len(calls) == family_size(fam) + 1
+        assert calls[-1] == tailed.witness
+        assert tailed.tail_bound == trajectory_cost(
+            sys_, tailed.witness, x, tailed.horizon, DecayBound(1.0, 1.0)
+        )[1]
+
     def test_refinement_never_decreases(self):
         sys_ = commuting_diag_pair()
         x = euclidean_state([1.0, 0.5])
@@ -239,6 +265,22 @@ class TestGeneralizedDerivative:
         v = lambda y: v_sup(SCALARS, y, fam, refine=False).value
         est = generalized_derivative(v, SCALARS, 1, euclidean_state([1.0]))
         assert est.value <= -1.0 - 0.5
+
+    def test_given_value_at_x_is_not_reevaluated(self):
+        seen = []
+
+        def v(y):
+            seen.append(float(y[0]))
+            return 0.5 * float(y @ y)
+
+        x = euclidean_state([1.0])
+        grid = (0.25, 0.125)
+        own = generalized_derivative(v, SCALARS, 0, x, grid)
+        assert seen[0] == 1.0 and len(seen) == len(grid) + 1
+        seen.clear()
+        given = generalized_derivative(v, SCALARS, 0, x, grid, v0=v(x))
+        assert len(seen) == len(grid) + 1  # the v(x) above, then one per step
+        assert given == own
 
     def test_bad_grid(self):
         v = lambda y: float(y @ y)
