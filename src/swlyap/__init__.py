@@ -15,7 +15,6 @@ from .certificates import (
     fit_decay,
     fit_growth,
     gronwall_certificate,
-    group_lower_bound,
 )
 from .errors import (
     ContractViolation,
@@ -55,8 +54,6 @@ from .semigroups import (
     MatrixMode,
     ShiftAmplifyMode,
     apply,
-    apply_adjoint,
-    group_inverse_norm,
     matrix_mode,
 )
 from .state_space import (
@@ -64,7 +61,6 @@ from .state_space import (
     PiecewiseConstantFn,
     canonicalize,
     euclidean_state,
-    linear_combine,
     lp_norm,
     state_norm,
 )

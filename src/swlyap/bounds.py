@@ -78,7 +78,8 @@ class DatkoCertificate:
     From a uniform trajectory bound k and an integral constant C_int with
     exponent p, choosing a contraction target beta in (0, 1) yields the
     dwell scale t0 = C_int / rho^p with rho = beta / k, a fixed t1 > t0,
-    and the decay pair mu = -ln(beta)/t1, K.
+    and the decay pair mu = -ln(beta)/t1, K.  ``datko_certificate`` builds
+    and checks it.
     """
 
     p: float
@@ -90,24 +91,6 @@ class DatkoCertificate:
     t1: float
     K: float
     mu: float
-
-    def __post_init__(self):
-        for name in ("p", "C_int", "k", "rho", "beta", "t0", "t1", "K", "mu"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.p >= 1.0:
-            raise StructuralError("exponent p must be >= 1")
-        if not self.C_int > 0:
-            raise StructuralError("integral constant must be positive")
-        if not self.k >= 1.0:
-            raise StructuralError("uniform trajectory bound k must be >= 1")
-        if not 0 < self.beta < 1:
-            raise StructuralError("beta must lie in (0, 1)")
-        if not 0 < self.rho < 1.0 / self.k + 1e-15:
-            raise StructuralError("rho must lie in (0, 1/k)")
-        if not self.t1 > self.t0:
-            raise StructuralError("t1 must exceed t0")
-        if not self.mu > 0:
-            raise StructuralError("mu must be positive")
 
     def decay(self) -> DecayBound:
         return DecayBound(max(self.K, 1.0), self.mu)

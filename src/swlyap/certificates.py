@@ -3,8 +3,8 @@
 The fits here are empirical: they majorize the samples they saw, which are
 themselves lower bounds of suprema over all signals.  Every fitted constant
 should therefore be read as "lower-confidence" evidence, in contrast to the
-closed-form certificate composition (Datko chain, Gronwall constants, group
-lower bound) which is exact given its inputs.
+closed-form certificate composition (Datko chain, Gronwall constants), which
+is exact given its inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "fit_decay",
     "datko_certificate",
     "gronwall_certificate",
-    "group_lower_bound",
     "SampleCheck",
     "ConditionReport",
     "condition_report",
@@ -53,13 +52,13 @@ class FitRefusal:
         return {**asdict(self), "refused": True, "signal": signal}
 
 
-def _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals=()):
+def _norm_ratio_samples(sys, fam, time_grid, witnesses):
     """Per time point ``(t, ratio, signal)``: the sup norm ratio over (signal,
     witness) pairs, and its signal."""
     time_grid = [float(t) for t in time_grid]
     if not time_grid:
         raise ContractViolation("need at least one time point")
-    signals = list(enumerate_family(fam)) + list(extra_signals)
+    signals = list(enumerate_family(fam))
     wnorms = []
     for w in witnesses:
         nw = state_norm(w, sys.norm)
@@ -88,11 +87,9 @@ def _log_slope(ts, rs):
     return float(slope), float(intercept)
 
 
-def fit_growth(
-    sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses, extra_signals=()
-) -> GrowthBound:
+def fit_growth(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> GrowthBound:
     """Least-squares exponential envelope M e^{omega t} majorizing all samples."""
-    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals)
+    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
     rs = [s[1] for s in samples]
     if max(rs) == 0.0:
         raise EstimationError("all sampled norms are zero; nothing to fit")
@@ -103,14 +100,14 @@ def fit_growth(
     return GrowthBound(M, omega)
 
 
-def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses, extra_signals=()):
+def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses):
     """Fit K e^{-mu t} majorizing the samples, or refuse if they do not decay.
 
     Refusal is triggered when the sampled sup norm has nonnegative trend over
     the last decade of the grid (t >= t_max / 10); the refusal carries the
     worst sample and its signal.
     """
-    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses, extra_signals)
+    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
     rs = [s[1] for s in samples]
     if max(rs) == 0.0:
         raise EstimationError("all sampled norms are zero; nothing to fit")
@@ -146,23 +143,32 @@ def datko_certificate(
     C_int with exponent p, and a uniform trajectory bound k, a contraction
     target beta < 1 determines rho = beta / k, the dwell scale
     t0 = C_int / rho^p, the fixed horizon t1 = 1.01 t0, and the decay pair
-    mu = -ln(beta) / t1, K = k / beta.
+    mu = -ln(beta) / t1, K = k / beta.  The one check of the chain: a NaN input
+    fails a contract, a chain outside the positive finite doubles raises EstimationError.
     """
     if not isinstance(growth, GrowthBound):
         raise ContractViolation("a growth envelope is required for the chain to be valid")
     if not 0.0 < beta < 1.0:
         raise ContractViolation("beta must lie in (0, 1)")
-    if k < 1.0:
+    if not k >= 1.0:
         raise ContractViolation("uniform trajectory bound k must be >= 1")
-    if C_int <= 0.0:
+    if not C_int > 0.0:
         raise ContractViolation("integral constant must be positive")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ContractViolation("exponent p must be >= 1")
+    p, C_int, k, beta = float(p), float(C_int), float(k), float(beta)
     rho = beta / k
-    t0 = C_int / rho**p
+    try:
+        t0 = C_int / rho**p
+    except ZeroDivisionError:  # rho^p underflowed
+        t0 = math.inf
     t1 = _T1_FACTOR * t0
     mu = -math.log(beta) / t1
-    return DatkoCertificate(p, C_int, k, rho, beta, t0, t1, k / beta, mu)
+    K = k / beta
+    if not (0.0 < t0 < t1 < math.inf and 0.0 < mu and K < math.inf):
+        raise EstimationError(f"Datko chain leaves the double range: t0 = {t0:g}, "
+                              f"t1 = {t1:g}, mu = {mu:g}, K = {K:g}")
+    return DatkoCertificate(p, C_int, k, rho, beta, t0, t1, K, mu)
 
 
 def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> DecayBound:
@@ -177,17 +183,6 @@ def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> Dec
     K = max(1.0, math.sqrt(eq.C / eq.c))
     mu = 1.0 / (2.0 * eq.C) if conservative else 1.0 / (2.0 * eq.c)
     return DecayBound(K, mu)
-
-
-def group_lower_bound(mu: float) -> float:
-    """Comparability constant contributed by the scalar group e^{-mu t} I.
-
-    Equals integral(0, inf) of the squared inverse of the backward-flow norm,
-    which is 1 / (2 mu) in closed form.
-    """
-    if mu <= 0:
-        raise ContractViolation("mu must be positive")
-    return 1.0 / (2.0 * mu)
 
 
 @dataclass(frozen=True)

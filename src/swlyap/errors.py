@@ -4,6 +4,13 @@ object read, as in ``segments[1].dwell: ...``; a boolean is never a number."""
 
 import re
 
+__all__ = [
+    "SwlyapError", "StructuralError", "InvalidStateError", "ContractViolation",
+    "UnsupportedOperation", "FamilySizeError", "EstimationError", "UnstableTailError",
+    "DegenerateInputError", "under", "read_at", "json_object", "json_number",
+    "json_integer", "json_list",
+]
+
 
 class SwlyapError(Exception):
     """Base class for all package errors."""

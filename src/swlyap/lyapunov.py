@@ -2,15 +2,16 @@
 
 Two candidate functionals are computed over a finite signal family:
 
-* ``v_sup``   sup over signals of the whole-trajectory energy
-  integral(0, inf) ||x(t)||^2 dt, reported with the maximizing signal.
-* ``v_tilde`` integral of the pointwise-in-time sup of ||x(t)||^2 over the
-  family, always >= the v_sup value on the same family.
+* ``v_sup``   the largest trajectory energy integral(0, horizon) ||x(t)||^2 dt
+  found over the family, reported with the maximizing signal.
+* ``v_tilde`` integral of the pointwise-in-time max of ||x(t)||^2 over the
+  family, which dominates v_sup on the same family up to quadrature error.
 
-Both are lower bounds of the corresponding suprema over all signals; the
-family truncation is the only gap.  Segment energies are closed-form for the
-scalar group and for transport (between structural events ||x(t)||_p^p is
-linear in time there), and adaptive Simpson for matrix modes.
+Both are lower bounds of the corresponding suprema over all signals and all
+time; the family and the horizon are the gap.  Segment energies are closed
+form for the scalar group and 1x1 matrix modes (one scalar kernel) and for
+transport (between structural events ||x(t)||_p^p is linear in time there),
+and adaptive Simpson for larger matrix modes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _V_TILDE_POINTS = 801  # time points of the v_tilde grid on [0, horizon]
 _SINGLE_MODE_POINTS = 2001  # time points of the v_tilde_single_mode grid
 _QUAD_RTOL = 1e-9  # relative tolerance of the adaptive Simpson matrix energies
 _TIE_RTOL = 1e-12
+_REFINE_MAX_EVALS = 60  # energy evaluations of one v_sup dwell refinement
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class DerivativeEstimate:
 
     mode_id: int
     value: float
-    t_grid: tuple
 
 
 def default_derivative_grid() -> tuple:
@@ -166,20 +167,22 @@ def _transport_energy(sys, mode, d: float, f: PiecewiseConstantFn, end) -> float
     return total
 
 
+def _scalar_energy(n2: float, a: float, d: float) -> float:
+    """integral(0, d) of n2 e^{2 a tau} dtau as n2 d expm1(2ad) / (2ad), which keeps
+    every digit for small |2ad| and is n2 d when 2ad is zero or underflows."""
+    x = 2.0 * a * d
+    return n2 * d if x == 0.0 else n2 * d * (math.expm1(x) / x)
+
+
 def _segment_energy(sys, mode, d: float, x, end) -> float:
     """integral(0, d) of ||T(tau) x||^2 dtau, where ``end`` is T(d) x."""
     if d <= 0.0:
         return 0.0
     if isinstance(mode, DiagonalGroupMode):
-        n2 = state_norm(x, sys.norm) ** 2
-        return n2 * (1.0 - math.exp(-2.0 * mode.mu * d)) / (2.0 * mode.mu)
+        return _scalar_energy(state_norm(x, sys.norm) ** 2, -mode.mu, d)
     if isinstance(mode, MatrixMode):
         if mode.dim == 1:
-            a = mode.rows[0][0]
-            n2 = float(x[0]) ** 2
-            if a == 0.0:
-                return n2 * d
-            return n2 * math.expm1(2.0 * a * d) / (2.0 * a)
+            return _scalar_energy(state_norm(x, sys.norm) ** 2, mode.rows[0][0], d)
 
         def g(tau):
             y = apply(mode, tau, x)
@@ -201,10 +204,10 @@ def trajectory_cost(
     Returns ``(integral, tail_bound)``.  The tail bound covers
     integral(horizon, inf) via the decay envelope when one is supplied
     (K^2 ||x(horizon)||^2 / (2 mu)); otherwise it is None and the result
-    is flagged untailed by its absence.
+    is flagged untailed by its absence.  The horizon must be finite.
     """
-    if horizon <= 0:
-        raise ContractViolation("horizon must be positive")
+    if not 0.0 < horizon < math.inf:  # also refuses NaN
+        raise ContractViolation("horizon must be positive and finite")
     total = 0.0
     final_state = x
     try:
@@ -230,12 +233,12 @@ def _default_horizon(decay: DecayBound | None) -> float:
     return max(DEFAULT_HORIZON, 5.0 / decay.mu)
 
 
-def _refine_dwells(sys, x, sig, cost, horizon, step, max_evals=60):
+def _refine_dwells(sys, x, sig, cost, horizon, step):
     """Greedy local search: perturb each dwell by +-step while it improves."""
     best_sig, best_cost = sig, cost
     evals = 0
     improved = True
-    while improved and evals < max_evals:
+    while improved and evals < _REFINE_MAX_EVALS:
         improved = False
         for i, (mode_id, dwell) in enumerate(best_sig.segments):
             for delta in (step, -step):
@@ -302,8 +305,10 @@ def v_tilde(
 
     Dominates the v_sup value on the same family up to quadrature error.  The
     reported witness is the single family signal with the largest energy on
-    the same grid.
+    the same grid.  The horizon must be finite and nonnegative.
     """
+    if not 0.0 <= horizon < math.inf:  # also refuses NaN
+        raise ContractViolation("horizon must be finite and nonnegative")
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
     grid = np.linspace(0.0, horizon, _V_TILDE_POINTS)
@@ -362,7 +367,7 @@ def generalized_derivative(
         q = (v(apply(mode, t, x)) - v0) / t
         if q < value:
             value = q
-    return DerivativeEstimate(mode_id, value, t_grid)
+    return DerivativeEstimate(mode_id, value)
 
 
 def augment_system(sys: SwitchedSystem, mu: float) -> SwitchedSystem:

@@ -32,7 +32,6 @@ from .errors import (
     ContractViolation,
     EstimationError,
     StructuralError,
-    UnsupportedOperation,
     json_list,
     json_number,
     json_object,
@@ -46,10 +45,8 @@ __all__ = [
     "HalfLineShiftMode",
     "matrix_mode",
     "apply",
-    "apply_adjoint",
     "expm",
     "transport_events",
-    "group_inverse_norm",
     "mode_state_kind",
     "mode_to_json",
     "mode_from_json",
@@ -324,21 +321,14 @@ def transport_events(mode, f: PiecewiseConstantFn, d: float) -> list:
 # -- public operations ---------------------------------------------------------
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EstimationError(f"e^{x:g} overflows a double") from None
-
-
 def apply(mode, t: float, x):
-    """Evolve the state ``x`` by ``mode`` for duration ``t >= 0``.
+    """Evolve the state ``x`` by ``mode`` for a finite duration ``t >= 0``.
 
     Matrix modes require a coordinate state, transport modes a piecewise
     function on the mode's spatial domain; the scalar group acts on either.
     """
-    if t < 0:
-        raise ContractViolation("evolution time must be nonnegative")
+    if not 0.0 <= t < math.inf:  # also refuses NaN
+        raise ContractViolation("evolution time must be finite and nonnegative")
     if isinstance(mode, MatrixMode):
         if not isinstance(x, np.ndarray):
             raise StructuralError("matrix modes act on coordinate states")
@@ -346,8 +336,6 @@ def apply(mode, t: float, x):
             raise StructuralError(
                 f"state dimension {x.shape} does not match mode dimension {mode.dim}"
             )
-        if mode.dim == 1:
-            return x * _exp(mode.rows[0][0] * t)
         return _expm(mode.matrix, t) @ x
     if isinstance(mode, DiagonalGroupMode):
         scale = math.exp(-mode.mu * t)
@@ -365,22 +353,6 @@ def apply(mode, t: float, x):
             raise StructuralError("transport modes act on piecewise-constant states")
         return _transport(mode, t, x)
     raise StructuralError(f"unknown mode type {type(mode).__name__}")
-
-
-def apply_adjoint(mode, t: float, x: np.ndarray) -> np.ndarray:
-    """Evolve by the adjoint semigroup e^{t A^T}; matrix modes only."""
-    if not isinstance(mode, MatrixMode):
-        raise UnsupportedOperation("adjoint evolution is only defined for matrix modes")
-    return apply(MatrixMode(tuple(zip(*mode.rows))), t, x)
-
-
-def group_inverse_norm(mode, t: float) -> float:
-    """Operator norm of the backward flow T(-t) for a scalar group mode."""
-    if not isinstance(mode, DiagonalGroupMode):
-        raise UnsupportedOperation("inverse-flow norm is only defined for group modes")
-    if t < 0:
-        raise ContractViolation("t must be nonnegative")
-    return _exp(mode.mu * t)
 
 
 # -- serialization --------------------------------------------------------------

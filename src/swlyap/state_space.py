@@ -27,7 +27,6 @@ __all__ = [
     "NormSpec",
     "lp_norm",
     "canonicalize",
-    "linear_combine",
     "euclidean_state",
     "state_from_json",
     "state_norm",
@@ -255,23 +254,6 @@ def lp_norm(f: PiecewiseConstantFn, spec: NormSpec) -> float:
     if p == 2.0:
         return math.sqrt(total)
     return total ** (1.0 / p)
-
-
-def linear_combine(
-    a: float, f: PiecewiseConstantFn, b: float, g: PiecewiseConstantFn
-) -> PiecewiseConstantFn:
-    """Pointwise a*f + b*g on the merged breakpoint grid, canonicalized."""
-    if f.domain != g.domain:
-        raise StructuralError(f"domain mismatch: {f.domain} vs {g.domain}")
-    grid = sorted(set(f.breaks) | set(g.breaks))
-    edges = [f.domain_lo] + grid + [f.domain_hi]
-    values = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = 0.5 * (lo + hi)
-        values.append(a * f.at(m) + b * g.at(m))
-    return canonicalize(
-        PiecewiseConstantFn(f.domain_lo, f.domain_hi, tuple(grid), tuple(values))
-    )
 
 
 def euclidean_state(coords) -> np.ndarray:

@@ -150,8 +150,8 @@ class SwitchedSystem:
 def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
     """Yield ``(mode, step, start, end)`` for each piece of ``sig`` on [0, t],
     the tail last; each ``end`` is the next piece's ``start``."""
-    if t < 0:
-        raise ContractViolation("evolution time must be nonnegative")
+    if not 0.0 <= t < math.inf:  # also refuses NaN
+        raise ContractViolation("evolution time must be finite and nonnegative")
     remaining = t
     state = x
     for mode_id, dwell in sig.segments + ((sig.tail_mode, math.inf),):
@@ -175,8 +175,8 @@ def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
 
 def shift_signal(sig: SwitchingSignal, s: float) -> SwitchingSignal:
     """The signal seen by an observer starting at time ``s``."""
-    if s < 0:
-        raise ContractViolation("shift must be nonnegative")
+    if not 0.0 <= s < math.inf:  # also refuses NaN
+        raise ContractViolation("shift must be finite and nonnegative")
     if s == 0.0:
         return sig
     remaining = s

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swlyap import (
     ContractViolation,
@@ -12,6 +14,7 @@ from swlyap import (
     NormEquivalence,
     SignalFamily,
     SwitchingSignal,
+    SwlyapError,
     condition_report,
     datko_certificate,
     euclidean_state,
@@ -19,7 +22,6 @@ from swlyap import (
     fit_decay,
     fit_growth,
     gronwall_certificate,
-    group_lower_bound,
     state_norm,
     v_sup,
 )
@@ -59,20 +61,6 @@ class TestFitGrowth:
         # envelope majorizes the sampled staircase
         for k, t in enumerate(grid, start=1):
             assert bound.at(t) >= 2.0**k * (1.0 - 1e-9)
-
-    def test_cascade_majorizes_witness_ratio(self):
-        from swlyap.presets import cascade_signal
-
-        n, p = 4, 2.0
-        eps = 4.0 ** -(n + 1)
-        sys_ = cascade_system(n, p)
-        fam = SignalFamily((0.75,), 0, tuple(range(n)))
-        grid = [0.25, 0.5, 1.0 - eps]
-        bound = fit_growth(
-            sys_, fam, grid, [edge_witness(eps)], extra_signals=[cascade_signal(n)]
-        )
-        # the sampled ratios reached 2^{n/p} at t = 1 - eps; the envelope covers it
-        assert bound.at(1.0 - eps) >= 2.0 ** (n / p) * (1.0 - 1e-9)
 
 
 class TestFitDecay:
@@ -116,6 +104,14 @@ class TestFitDecay:
 
         for t, r, _ in _norm_ratio_samples(sys_, fam, self.GRID, witnesses):
             assert r <= bound.at(t) * (1.0 + 1e-9)
+
+
+# numbers across the double range, with its edges, and small integers
+EXTREME = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, 1e-320, 1e-200, 1.0 - 2.0**-53, 1.0, 1e4, 1e200, 1.7e308]),
+    st.integers(min_value=-3, max_value=10),
+)
 
 
 class TestDatko:
@@ -169,6 +165,22 @@ class TestDatko:
         with pytest.raises(ContractViolation):
             datko_certificate(None, 0.5, 2.0, 1.0)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @example(C_int=1.0, p=1e4, k=1e200, beta=1e-320)
+    @example(C_int=1.0, p=2.0, k=math.inf, beta=0.5)
+    @example(C_int=math.nan, p=2.0, k=1.0, beta=0.5)
+    @example(C_int=1, p=2, k=1, beta=0.5)
+    @given(C_int=EXTREME, p=EXTREME, k=EXTREME, beta=EXTREME)
+    def test_extreme_inputs_give_a_finite_chain_or_a_library_error(self, C_int, p, k, beta):
+        try:
+            cert = datko_certificate(self.GROWTH, C_int, p, k, beta)
+        except SwlyapError:
+            return
+        fields = cert.to_json().values()
+        assert all(type(v) is float and 0.0 < v < math.inf for v in fields)
+        assert cert.t0 < cert.t1
+        cert.decay()
+
 
 class TestGronwall:
     def test_balanced_constants(self):
@@ -200,17 +212,6 @@ class TestGronwall:
             for t in np.linspace(0.0, 10.0, 41):
                 lhs = state_norm(evolve(SCALAR, sig, float(t), x), SCALAR.norm)
                 assert lhs <= env.at(float(t)) * state_norm(x, SCALAR.norm) * (1.0 + 1e-6)
-
-
-class TestGroupLowerBound:
-    def test_values(self):
-        assert group_lower_bound(1.0) == 0.5
-        assert group_lower_bound(0.5) == 1.0
-        assert group_lower_bound(2.0) == 0.25
-
-    def test_contract(self):
-        with pytest.raises(ContractViolation):
-            group_lower_bound(0.0)
 
 
 class TestConditionReport:

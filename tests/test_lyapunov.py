@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from swlyap import (
     ContractViolation,
     DecayBound,
+    DiagonalGroupMode,
     EstimationError,
     NormSpec,
     PiecewiseConstantFn,
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
+    apply,
     augment_system,
     euclidean_state,
     evolve,
@@ -19,6 +23,8 @@ from swlyap import (
     lp_norm,
     matrix_mode,
     family_size,
+    operator_norm_witness,
+    shift_signal,
     state_norm,
     trajectory_cost,
     v_sup,
@@ -32,6 +38,7 @@ from swlyap.presets import (
     commuting_diag_pair,
     scalar_mode_system,
 )
+from swlyap.switching import walk
 
 from test_state_space import random_dyadic_fn
 
@@ -97,6 +104,21 @@ class TestTrajectoryCost:
         x = euclidean_state([1.0])
         with pytest.raises(ContractViolation):
             trajectory_cost(SCALARS, CONST0, x, horizon=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(mu=1e-320, d=10.0)
+    @example(mu=1e-12, d=10.0)
+    @example(mu=1e-9, d=10.0)
+    @given(st.floats(min_value=5e-324, max_value=1e-6), st.floats(min_value=1e-3, max_value=100.0))
+    def test_scalar_group_energy_is_the_1x1_matrix_energy(self, mu, d):
+        # integral(0, d) e^{-2 mu t} dt = d - mu d^2 + (2/3) mu^2 d^3 - ..., where the
+        # omitted terms are below 1e-18 of d once mu d < 1e-6
+        assume(mu * d < 1e-6)
+        x = euclidean_state([1.0])
+        group = SwitchedSystem((DiagonalGroupMode(mu),), NormSpec.euclidean())
+        val, _ = trajectory_cost(group, CONST0, x, d)
+        assert val == trajectory_cost(scalar_mode_system((-mu,)), CONST0, x, d)[0]
+        assert val == pytest.approx(d - mu * d * d + 2.0 / 3.0 * mu * mu * d**3, rel=1e-12)
 
 
 class TestVSup:
@@ -328,6 +350,30 @@ class TestAugmentation:
     def test_invalid_mu(self):
         with pytest.raises(ContractViolation):
             augment_system(SCALARS, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_times_outside_zero_to_infinity_are_refused(t):
+    transport = blowup_transport_pair()
+    f = PiecewiseConstantFn.indicator(-1.0, 1.0, -0.25, 0.5)
+    x = euclidean_state([1.0, 0.5])
+    for mode, state in ((transport.modes[0], f), (DiagonalGroupMode(1.0), x),
+                        (commuting_diag_pair().modes[0], x)):
+        with pytest.raises(ContractViolation):
+            apply(mode, t, state)
+    calls = (
+        lambda: list(walk(transport, CONST0, t, f)),
+        lambda: evolve(transport, CONST0, t, f),
+        lambda: operator_norm_witness(transport, CONST0, t, [f]),
+        lambda: shift_signal(SwitchingSignal(((0, 1.0),), 1), t),
+        lambda: trajectory_cost(transport, CONST0, f, t),
+        lambda: v_sup(SCALARS, x[:1], horizon=t),
+        lambda: v_tilde(SCALARS, x[:1], horizon=t),
+    )
+    for call in calls:
+        with pytest.raises(ContractViolation):
+            call()
 
 
 class TestNonFiniteEnergies:

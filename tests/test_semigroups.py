@@ -13,19 +13,15 @@ from swlyap import (
     PiecewiseConstantFn,
     ShiftAmplifyMode,
     StructuralError,
-    UnsupportedOperation,
     apply,
-    apply_adjoint,
     euclidean_state,
-    group_inverse_norm,
-    linear_combine,
     lp_norm,
     matrix_mode,
 )
 from swlyap.presets import blowup_transport_pair, cascade_system
 from swlyap.semigroups import mode_from_json, mode_to_json
 
-from test_state_space import random_dyadic_fn
+from test_state_space import combine, random_dyadic_fn
 
 L1 = NormSpec(1.0)
 L2 = NormSpec(2.0)
@@ -168,7 +164,7 @@ def test_strong_continuity_surrogate():
     for k in range(1, 9):
         t = 2.0**-k
         moved = apply(LEFT_DOUBLER, t, f)
-        diffs.append(lp_norm(linear_combine(1.0, moved, -1.0, f), L1))
+        diffs.append(lp_norm(combine(1.0, moved, -1.0, f), L1))
     assert all(a >= b for a, b in zip(diffs[:-1], diffs[1:]))
     assert diffs[-1] < diffs[0]
 
@@ -192,40 +188,6 @@ class TestHalfLineShift:
         f = PiecewiseConstantFn.indicator(1.0, 2.0, 1.0, 2.0)
         with pytest.raises(StructuralError):
             apply(HalfLineShiftMode(), 0.5, f)
-
-
-class TestAdjoint:
-    def test_self_adjoint_case(self):
-        A = np.array([[-1.0, 0.5], [0.5, -2.0]])
-        m = matrix_mode(A)
-        x = euclidean_state([1.0, 2.0])
-        assert np.allclose(apply(m, 0.8, x), apply_adjoint(m, 0.8, x), rtol=1e-12)
-
-    def test_identity_at_zero(self):
-        m = matrix_mode([[0.0, 1.0], [0.0, 0.0]])
-        x = euclidean_state([0.0, 1.0])
-        assert np.array_equal(apply_adjoint(m, 0.0, x), x)
-
-    def test_against_transposed_exponential(self):
-        m = matrix_mode([[0.0, 1.0], [0.0, 0.0]])
-        x = euclidean_state([0.0, 1.0])
-        want = expm(np.array([[0.0, 1.0], [0.0, 0.0]]).T) @ x
-        assert np.allclose(apply_adjoint(m, 1.0, x), want, rtol=1e-14)
-
-    def test_unsupported_for_transport(self):
-        with pytest.raises(UnsupportedOperation):
-            apply_adjoint(LEFT_DOUBLER, 1.0, euclidean_state([1.0]))
-
-
-class TestGroupInverseNorm:
-    def test_values(self):
-        assert group_inverse_norm(DiagonalGroupMode(1.0), 0.0) == 1.0
-        assert group_inverse_norm(DiagonalGroupMode(1.0), math.log(2.0)) == pytest.approx(2.0)
-        assert group_inverse_norm(DiagonalGroupMode(0.5), 2.0) == pytest.approx(math.e)
-
-    def test_unsupported_mode(self):
-        with pytest.raises(UnsupportedOperation):
-            group_inverse_norm(matrix_mode([[-1.0]]), 1.0)
 
 
 def test_mode_json_roundtrip():
@@ -263,9 +225,5 @@ def test_mode_json_names_missing_field():
 def test_scalar_exponential_overflow_is_an_estimation_error():
     mode, x = matrix_mode([[1000.0]]), euclidean_state([1.0])
     assert apply(mode, 0.5, x)[0] == pytest.approx(math.exp(500.0))
-    with pytest.raises(EstimationError, match="overflows"):
+    with pytest.raises(EstimationError, match="not finite"):
         apply(mode, 1.0, x)
-    with pytest.raises(EstimationError, match="overflows"):
-        apply_adjoint(mode, 1.0, x)
-    with pytest.raises(EstimationError, match="overflows"):
-        group_inverse_norm(DiagonalGroupMode(1000.0), 1.0)
