@@ -42,6 +42,7 @@ from .lyapunov import (
     DerivativeEstimate,
     LyapunovEstimate,
     augment_system,
+    family_max,
     generalized_derivative,
     trajectory_cost,
     v_sup,
@@ -68,6 +69,7 @@ from .switching import (
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
+    distinct_trajectories,
     enumerate_family,
     evolve,
     family_size,

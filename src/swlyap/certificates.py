@@ -18,7 +18,13 @@ from .bounds import DatkoCertificate, DecayBound, GrowthBound, NormEquivalence
 from .errors import ContractViolation, EstimationError, SwlyapError
 from .lyapunov import default_derivative_grid, generalized_derivative
 from .state_space import state_norm
-from .switching import SignalFamily, SwitchedSystem, enumerate_family, evolve
+from .switching import (
+    SignalFamily,
+    SwitchedSystem,
+    distinct_trajectories,
+    enumerate_family,
+    evolve,
+)
 
 __all__ = [
     "FitRefusal",
@@ -53,12 +59,13 @@ class FitRefusal:
 
 
 def _norm_ratio_samples(sys, fam, time_grid, witnesses):
-    """Per time point ``(t, ratio, signal)``: the sup norm ratio over (signal,
-    witness) pairs, and its signal."""
+    """Per time point ``(t, ratio, signal)``: the sup norm ratio over the
+    family's distinct trajectories and the witnesses, and the first signal
+    that reaches it."""
     time_grid = [float(t) for t in time_grid]
     if not time_grid:
         raise ContractViolation("need at least one time point")
-    signals = list(enumerate_family(fam))
+    signals = list(distinct_trajectories(enumerate_family(fam)))
     wnorms = []
     for w in witnesses:
         nw = state_norm(w, sys.norm)
@@ -88,7 +95,9 @@ def _log_slope(ts, rs):
 
 
 def fit_growth(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> GrowthBound:
-    """Least-squares exponential envelope M e^{omega t} majorizing all samples."""
+    """Least-squares exponential envelope M e^{omega t} majorizing all samples:
+    per time point, the sup norm ratio over the family's distinct trajectories
+    and the witnesses."""
     samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
     rs = [s[1] for s in samples]
     if max(rs) == 0.0:
@@ -103,9 +112,10 @@ def fit_growth(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> 
 def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses):
     """Fit K e^{-mu t} majorizing the samples, or refuse if they do not decay.
 
-    Refusal is triggered when the sampled sup norm has nonnegative trend over
-    the last decade of the grid (t >= t_max / 10); the refusal carries the
-    worst sample and its signal.
+    A sample is the sup norm ratio at one time point over the family's
+    distinct trajectories and the witnesses.  Refusal is triggered when the
+    sampled sup norm has nonnegative trend over the last decade of the grid
+    (t >= t_max / 10); the refusal carries the worst sample and its signal.
     """
     samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
     rs = [s[1] for s in samples]
@@ -144,7 +154,8 @@ def datko_certificate(
     target beta < 1 determines rho = beta / k, the dwell scale
     t0 = C_int / rho^p, the fixed horizon t1 = 1.01 t0, and the decay pair
     mu = -ln(beta) / t1, K = k / beta.  The one check of the chain: a NaN input
-    fails a contract, a chain outside the positive finite doubles raises EstimationError.
+    fails a contract; an input past the double range, or a chain outside the
+    positive finite doubles, raises EstimationError.
     """
     if not isinstance(growth, GrowthBound):
         raise ContractViolation("a growth envelope is required for the chain to be valid")
@@ -156,7 +167,10 @@ def datko_certificate(
         raise ContractViolation("integral constant must be positive")
     if not p >= 1.0:
         raise ContractViolation("exponent p must be >= 1")
-    p, C_int, k, beta = float(p), float(C_int), float(k), float(beta)
+    try:
+        p, C_int, k, beta = float(p), float(C_int), float(k), float(beta)
+    except OverflowError:  # an integer past the double range
+        raise EstimationError("Datko chain input leaves the double range") from None
     rho = beta / k
     try:
         t0 = C_int / rho**p
@@ -257,7 +271,9 @@ def condition_report(
     the ratio v / ||x||^2 and whether every mode's difference quotient stays
     below -||x||^2 (1 - kappa_tol), with kappa_tol = 0.05.  Library errors
     raised by the evaluator are recorded per sample rather than aborting the
-    sweep; any other exception is a bug and propagates.
+    sweep; any other exception is a bug and propagates.  A ``growth`` envelope
+    is checked at t = 0.5, 1, 2 and 4 against the sup norm ratio over the
+    family's distinct trajectories and the nonzero samples.
     """
     if not samples:
         raise ContractViolation("need at least one sample state")

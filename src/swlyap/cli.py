@@ -30,13 +30,15 @@ from .certificates import (
 )
 from .errors import StructuralError, SwlyapError, under
 from .gram import argmax_set, candidates_from_family, v_max
-from .lyapunov import trajectory_cost, v_sup
+from .lyapunov import family_max, trajectory_cost, v_sup
 from .semigroups import MatrixMode, ShiftAmplifyMode, apply
 from .state_space import PiecewiseConstantFn, euclidean_state, state_from_json, state_norm
 from .switching import (
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
+    distinct_trajectories,
+    enumerate_family,
     evolve,
     family_size,
     operator_norm_witness,
@@ -166,8 +168,10 @@ def _family(obj, system):
 def _certify_cost(errors, system, family, n_samples, horizon):
     """Bound the signal evaluations of ``certify``: per sample and family
     signal, a norm at each of horizon/0.25 time points and at most 1 + 18 per
-    mode for the condition report (it makes 1 + 17; the bound is kept so the
-    same configs are refused).  The largest factor names the field to blame."""
+    mode for the condition report (it makes 1 + 17).  The family size is an
+    upper bound, since certify scans only the family's distinct trajectories;
+    the bound is kept so the same configs are refused.  The largest factor
+    names the field to blame."""
     cap = _GRID_LIMIT + 1  # keeps the product small; one factor above the limit exceeds it
     factors = {
         "n_samples": min(n_samples, cap),
@@ -353,8 +357,10 @@ def _run_certify(config: RunConfig):
     growth = fit_growth(sys_, fam, time_grid, samples)
     decay = fit_decay(sys_, fam, time_grid, samples)
 
+    signals = tuple(distinct_trajectories(enumerate_family(fam)))
+
     def v(x):
-        return v_sup(sys_, x, fam, config.horizon, refine=False).value
+        return family_max(sys_, signals, x, config.horizon)[1]
 
     report = condition_report(sys_, v, samples, fam, growth=growth)
     doc = {

@@ -38,6 +38,7 @@ __all__ = [
     "LyapunovEstimate",
     "DerivativeEstimate",
     "trajectory_cost",
+    "family_max",
     "v_sup",
     "v_tilde",
     "v_tilde_single_mode",
@@ -256,6 +257,22 @@ def _refine_dwells(sys, x, sig, cost, horizon, step):
     return best_sig, best_cost
 
 
+def family_max(sys: SwitchedSystem, signals, x, horizon: float) -> tuple:
+    """``(signal, energy)`` of the largest trajectory energy among ``signals``.
+
+    Each signal's energy is integrated once, in input order.  Ties go to the
+    earliest signal: a later one wins only above a 1e-12 relative margin.
+    """
+    best_sig, best_cost = None, -1.0
+    for sig in signals:
+        c, _ = trajectory_cost(sys, sig, x, horizon)
+        if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
+            best_sig, best_cost = sig, c
+    if best_sig is None:
+        raise ContractViolation("need at least one signal")
+    return best_sig, best_cost
+
+
 def v_sup(
     sys: SwitchedSystem,
     x,
@@ -268,8 +285,9 @@ def v_sup(
 
     The result is a lower bound for the true sup over all signals; ties are
     broken by enumeration order, so equal-cost signals report the earliest.
-    Each family signal's energy is integrated once: the value is the one the
-    scan (or the dwell refinement) found, and the witness is not
+    The scan is ``family_max`` over every family signal, repeated
+    trajectories included, so each energy is integrated once: the value is
+    the one the scan (or the dwell refinement) found, and the witness is not
     re-integrated.  Only when a decay envelope is supplied does the estimate
     carry a tail bound for the witness, from ``trajectory_cost``, and the
     certified upper bound (K^2 / (2 mu)) ||x||^2; without one both are None.
@@ -278,11 +296,7 @@ def v_sup(
         fam = SignalFamily.default(sys.n_modes)
     if horizon is None:
         horizon = _default_horizon(decay)
-    best_sig, best_cost = None, -1.0
-    for sig in enumerate_family(fam):
-        c, _ = trajectory_cost(sys, sig, x, horizon)
-        if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
-            best_sig, best_cost = sig, c
+    best_sig, best_cost = family_max(sys, enumerate_family(fam), x, horizon)
     if refine and best_sig.segments:
         step = 0.5 * min(fam.dwell_grid)
         best_sig, best_cost = _refine_dwells(

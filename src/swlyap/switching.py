@@ -15,6 +15,8 @@ holds with zero error there (and to matrix-exponential accuracy otherwise).
 The set of all signals is infinite; ``SignalFamily`` is the finite grid
 surrogate used for suprema.  Anything maximized over a family is therefore a
 certified lower bound of the true supremum, never an upper one.
+``distinct_trajectories`` drops the family signals that repeat an earlier
+signal's trajectory.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "operator_norm_witness",
     "family_size",
     "enumerate_family",
+    "distinct_trajectories",
 ]
 
 
@@ -73,8 +76,8 @@ class SwitchingSignal:
 
     def active_mode(self, t: float) -> int:
         """Mode active at time t (right-continuous)."""
-        if t < 0:
-            raise ContractViolation("time must be nonnegative")
+        if not 0.0 <= t < math.inf:  # also refuses NaN
+            raise ContractViolation("time must be finite and nonnegative")
         acc = 0.0
         for m, d in self.segments:
             acc += d
@@ -273,3 +276,37 @@ def enumerate_family(fam: SignalFamily):
                     yield SwitchingSignal(tuple(zip(word[:-1], dwells)), word[-1])
 
     return gen()
+
+
+def distinct_trajectories(signals):
+    """The first signal of each trajectory among ``signals``, in input order.
+
+    Two signals run one trajectory when they agree after adjacent segments in
+    the same mode are merged (dwells summed) and trailing segments in the tail
+    mode are folded into the tail.  Dwells merge only where their float sum is
+    exact, so a sum that rounds leaves a repeat in and never joins two
+    different trajectories.
+    """
+    seen = set()
+    for sig in signals:
+        key = _trajectory_key(sig)
+        if key not in seen:
+            seen.add(key)
+            yield sig
+
+
+def _trajectory_key(sig: SwitchingSignal) -> tuple:
+    segments, tail = sig.segments, sig.tail_mode
+    n = len(segments)
+    while n and segments[n - 1][0] == tail:
+        n -= 1
+    merged = []
+    for mode_id, dwell in segments[:n]:
+        if merged and merged[-1][0] == mode_id:
+            acc = merged[-1][1]
+            total = acc + dwell
+            if total - acc == dwell and total - dwell == acc:  # the sum is exact
+                merged[-1] = (mode_id, total)
+                continue
+        merged.append((mode_id, dwell))
+    return tuple(merged), tail

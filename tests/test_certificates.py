@@ -106,11 +106,13 @@ class TestFitDecay:
             assert r <= bound.at(t) * (1.0 + 1e-9)
 
 
-# numbers across the double range, with its edges, and small integers
+# numbers across the double range, with its edges, small integers and
+# integers past the double range
 EXTREME = st.one_of(
     st.floats(),
     st.sampled_from([5e-324, 1e-320, 1e-200, 1.0 - 2.0**-53, 1.0, 1e4, 1e200, 1.7e308]),
     st.integers(min_value=-3, max_value=10),
+    st.integers(min_value=2**1024, max_value=10**400),
 )
 
 
@@ -170,6 +172,9 @@ class TestDatko:
     @example(C_int=1.0, p=2.0, k=math.inf, beta=0.5)
     @example(C_int=math.nan, p=2.0, k=1.0, beta=0.5)
     @example(C_int=1, p=2, k=1, beta=0.5)
+    @example(C_int=1.0, p=10**400, k=1.0, beta=0.5)
+    @example(C_int=10**400, p=2.0, k=1.0, beta=0.5)
+    @example(C_int=1.0, p=2.0, k=10**400, beta=0.5)
     @given(C_int=EXTREME, p=EXTREME, k=EXTREME, beta=EXTREME)
     def test_extreme_inputs_give_a_finite_chain_or_a_library_error(self, C_int, p, k, beta):
         try:

@@ -174,7 +174,8 @@ class TestDeterminism:
 class TestCertifyCost:
     def test_certify_integrates_each_energy_once(self, tmp_path, monkeypatch):
         # V(x) once per sample and once per mode and derivative step, each a
-        # sweep of the family; the sample's own V(x) serves every mode.
+        # sweep of the family's distinct trajectories; the sample's own V(x)
+        # serves every mode.
         raw = {
             "system": {"modes": [{"kind": "matrix", "A": [[-1.0]]},
                                  {"kind": "matrix", "A": [[-2.0]]}]},
@@ -192,10 +193,12 @@ class TestCertifyCost:
 
         monkeypatch.setattr(lyapunov, "trajectory_cost", counting)
         assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        n_samples, n_modes, family = 2, 2, 2 + 2 * 2 * 1
+        # of the 2 + 2 * 2 * 1 family signals, 0.5 in mode 0 then the tail in
+        # mode 0 repeats the constant signal 0, and likewise for mode 1
+        n_samples, n_modes, distinct = 2, 2, 2 + 2 * 2 * 1 - 2
         steps = len(lyapunov.default_derivative_grid())
         assert steps == 17
-        assert len(calls) == n_samples * (1 + steps * n_modes) * family
+        assert len(calls) == n_samples * (1 + steps * n_modes) * distinct
 
 
 class TestGramTask:

@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swlyap import (
     ContractViolation,
@@ -11,6 +16,7 @@ from swlyap import (
     SwitchedSystem,
     SwitchingSignal,
     apply,
+    distinct_trajectories,
     enumerate_family,
     euclidean_state,
     evolve,
@@ -209,6 +215,75 @@ class TestFamilyEnumeration:
         assert sigs[1] == SwitchingSignal((), 1)
 
 
+def exact_key(sig):
+    """A signal's trajectory in exact arithmetic: trailing tail-mode segments
+    dropped, adjacent equal modes merged with their dwells summed."""
+    segs = list(sig.segments)
+    while segs and segs[-1][0] == sig.tail_mode:
+        segs.pop()
+    merged = []
+    for m, d in segs:
+        if merged and merged[-1][0] == m:
+            merged[-1] = (m, merged[-1][1] + Fraction(d))
+        else:
+            merged.append((m, Fraction(d)))
+    return tuple(merged), sig.tail_mode
+
+
+class TestDistinctTrajectories:
+    @pytest.mark.parametrize("dwells,depth,n_modes,count,distinct", [
+        ((0.5, 1.0), 1, 2, 10, 6),  # the matrix-certify benchmark family
+        ((0.0625, 0.25), 2, 5, 555, 425),  # transport-search
+        ((0.25, 0.5, 0.75, 1.0), 3, 2, 1170, 250),  # gram-deep
+        ((0.25, 0.5, 1.0), 2, 2, 86, 34),  # the default family on two modes
+    ])
+    def test_counts(self, dwells, depth, n_modes, count, distinct):
+        fam = SignalFamily(dwells, depth, tuple(range(n_modes)))
+        raw = list(enumerate_family(fam))
+        assert len(raw) == family_size(fam) == count
+        assert len(list(distinct_trajectories(raw))) == distinct
+
+    def test_rounded_sums_leave_repeats_in(self):
+        # 0.1 + 0.2 rounds, so neither order merges, nor does it meet the
+        # different trajectory of the rounded dwell; 0.25 + 0.5 is exact.
+        sigs = [SwitchingSignal(segs, 1) for segs in (
+            ((0, 0.1), (0, 0.2)), ((0, 0.2), (0, 0.1)), ((0, 0.1 + 0.2),),
+            ((0, 0.25), (0, 0.5)), ((0, 0.75),), ((0, 0.75), (1, 0.5)),
+        )]
+        assert list(distinct_trajectories(sigs)) == sigs[:4]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),
+           n_dwells=st.integers(1, 3), depth=st.integers(0, 3), matrix=st.booleans())
+    def test_each_signal_evolves_as_its_representative(self, seed, n_modes, n_dwells,
+                                                       depth, matrix):
+        rng = np.random.default_rng(seed)
+        dwells = tuple(sorted({random_dyadic(rng, 16, 1, 25) for _ in range(n_dwells)}))
+        fam = SignalFamily(dwells, depth, tuple(range(n_modes)))
+        if matrix:
+            dim = int(rng.integers(1, 4))
+            modes = tuple(matrix_mode(rng.uniform(-1.0, 1.0, (dim, dim)).tolist())
+                          for _ in range(n_modes))
+            sys_ = SwitchedSystem(modes, NormSpec.euclidean())
+            x = euclidean_state(rng.standard_normal(dim))
+        else:
+            sys_, x = cascade_system(n_modes), random_dyadic_fn(rng, 0.0, 1.0)
+        times = [random_dyadic(rng, 16, 0, 97) for _ in range(3)]
+        raw = list(enumerate_family(fam))
+        first = {}
+        for sig in raw:
+            first.setdefault(exact_key(sig), sig)
+        assert list(distinct_trajectories(raw)) == list(first.values())
+        for sig in raw:
+            rep = first[exact_key(sig)]
+            for t in times:
+                got, want = evolve(sys_, sig, t, x), evolve(sys_, rep, t, x)
+                if matrix:
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                else:
+                    assert got == want
+
+
 class TestSystemValidation:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(StructuralError):
@@ -272,6 +347,13 @@ def test_active_mode():
     assert sig.active_mode(0.5) == 1
     assert sig.active_mode(0.999) == 1
     assert sig.active_mode(1.0) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_active_mode_refuses_times_outside_zero_to_infinity(t):
+    with pytest.raises(ContractViolation):
+        SwitchingSignal(((0, 1.0),), 1).active_mode(t)
 
 
 def test_scalar_system_evolution():
