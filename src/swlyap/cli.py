@@ -472,7 +472,7 @@ def _reproduce_cascade(config: RunConfig):
         )
         sig = SwitchingSignal(segs, int(rng.choice(fam_ids)))
         for w in _sample_states(sys6, 4, rng):
-            cost, _ = trajectory_cost(sys6, sig, w, 1.25)
+            cost = trajectory_cost(sys6, sig, w, 1.25)
             worst = max(worst, cost / state_norm(w, sys6.norm) ** 2)
     eps = 4.0 ** -(n + 1)
     sys_n = presets.cascade_system(n, p)

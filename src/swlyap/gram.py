@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -241,15 +240,12 @@ def gram_of_signal(sys: SwitchedSystem, sig: SwitchingSignal) -> GramOperator:
     return _Assembler(sys).gram(sig)
 
 
-def candidates_from_family(
-    sys: SwitchedSystem, fam: SignalFamily | None = None, extra_signals=()
-) -> CandidateSet:
-    """Gram operators of every family signal plus any user-supplied signals,
-    in enumeration order, sharing segments, tails and prefixes across signals."""
+def candidates_from_family(sys: SwitchedSystem, fam: SignalFamily | None = None) -> CandidateSet:
+    """Gram operators of every family signal, in enumeration order, sharing
+    segments, tails and prefixes across signals."""
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
-    signals = chain(enumerate_family(fam), extra_signals)  # a FamilySizeError comes first
-    return tuple(map(_Assembler(sys).gram, signals))
+    return tuple(map(_Assembler(sys).gram, enumerate_family(fam)))
 
 
 def v_max(cands: CandidateSet, x: np.ndarray) -> float:

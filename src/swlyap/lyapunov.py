@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bounds import DecayBound
 from .errors import ContractViolation, EstimationError
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
@@ -29,6 +28,7 @@ from .switching import (
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
+    distinct_trajectories,
     enumerate_family,
     evolve,
     walk,
@@ -59,17 +59,15 @@ _REFINE_MAX_EVALS = 60  # energy evaluations of one v_sup dwell refinement
 class LyapunovEstimate:
     """Value of a worst-case functional at one state.
 
-    ``value`` is a certified lower bound of the true supremum (family
-    truncation); ``value + tail_bound``, when the tail bound is present,
-    is an upper bound for the witness's own infinite-horizon integral.
+    ``value`` is a lower bound of the true supremum over all signals: the
+    family and the finite ``horizon`` are the gap.  ``witness`` is the
+    family signal (dwell-refined, for ``v_sup``) that attains it.
     """
 
     value: float
     witness: SwitchingSignal
     horizon: float
-    tail_bound: float | None = None
     kind: str = "V"
-    upper_bound: float | None = None
 
     def to_json(self) -> dict:
         return {**asdict(self), "witness": self.witness.to_json(), "bound_direction": "lower"}
@@ -193,45 +191,26 @@ def _segment_energy(sys, mode, d: float, x, end) -> float:
     return _transport_energy(sys, mode, d, x, end)
 
 
-def trajectory_cost(
-    sys: SwitchedSystem,
-    sig: SwitchingSignal,
-    x,
-    horizon: float,
-    decay: DecayBound | None = None,
-):
+def trajectory_cost(sys: SwitchedSystem, sig: SwitchingSignal, x, horizon: float) -> float:
     """Energy integral(0, horizon) ||x(t)||^2 dt along one signal.
 
-    Returns ``(integral, tail_bound)``.  The tail bound covers
-    integral(horizon, inf) via the decay envelope when one is supplied
-    (K^2 ||x(horizon)||^2 / (2 mu)); otherwise it is None and the result
-    is flagged untailed by its absence.  The horizon must be finite.
+    The horizon must be positive and finite; an energy that is not finite
+    raises EstimationError.
     """
     if not 0.0 < horizon < math.inf:  # also refuses NaN
         raise ContractViolation("horizon must be positive and finite")
     total = 0.0
-    final_state = x
     try:
-        for mode, step, start, final_state in walk(sys, sig, horizon, x):
-            total += _segment_energy(sys, mode, step, start, final_state)
+        for mode, step, start, end in walk(sys, sig, horizon, x):
+            total += _segment_energy(sys, mode, step, start, end)
     except OverflowError:  # a closed form left the double range
         total = math.inf
     if not math.isfinite(total):
         raise EstimationError("trajectory energy is not finite")
-    tail = None
-    if decay is not None:
-        n2 = state_norm(final_state, sys.norm) ** 2
-        tail = decay.K**2 * n2 / (2.0 * decay.mu)
-    return total, tail
+    return total
 
 
 # -- worst-case functionals ------------------------------------------------------
-
-
-def _default_horizon(decay: DecayBound | None) -> float:
-    if decay is None:
-        return DEFAULT_HORIZON
-    return max(DEFAULT_HORIZON, 5.0 / decay.mu)
 
 
 def _refine_dwells(sys, x, sig, cost, horizon, step):
@@ -249,7 +228,7 @@ def _refine_dwells(sys, x, sig, cost, horizon, step):
                 segs = list(best_sig.segments)
                 segs[i] = (mode_id, d_new)
                 cand = SwitchingSignal(tuple(segs), best_sig.tail_mode)
-                c, _ = trajectory_cost(sys, cand, x, horizon)
+                c = trajectory_cost(sys, cand, x, horizon)
                 evals += 1
                 if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
                     best_sig, best_cost = cand, c
@@ -265,7 +244,7 @@ def family_max(sys: SwitchedSystem, signals, x, horizon: float) -> tuple:
     """
     best_sig, best_cost = None, -1.0
     for sig in signals:
-        c, _ = trajectory_cost(sys, sig, x, horizon)
+        c = trajectory_cost(sys, sig, x, horizon)
         if c > best_cost * (1.0 + _TIE_RTOL) + 1e-300:
             best_sig, best_cost = sig, c
     if best_sig is None:
@@ -277,36 +256,24 @@ def v_sup(
     sys: SwitchedSystem,
     x,
     fam: SignalFamily | None = None,
-    horizon: float | None = None,
-    decay: DecayBound | None = None,
-    refine: bool = True,
+    horizon: float = DEFAULT_HORIZON,
 ) -> LyapunovEstimate:
     """Maximize the trajectory energy over a finite signal family.
 
-    The result is a lower bound for the true sup over all signals; ties are
-    broken by enumeration order, so equal-cost signals report the earliest.
-    The scan is ``family_max`` over every family signal, repeated
-    trajectories included, so each energy is integrated once: the value is
-    the one the scan (or the dwell refinement) found, and the witness is not
-    re-integrated.  Only when a decay envelope is supplied does the estimate
-    carry a tail bound for the witness, from ``trajectory_cost``, and the
-    certified upper bound (K^2 / (2 mu)) ||x||^2; without one both are None.
+    The result is a lower bound for the true sup over all signals.  The scan
+    is ``family_max`` over every family signal, repeated trajectories
+    included, so ties go to the earliest signal.  A witness with segments
+    then has its dwells refined by a greedy +-(half the finest dwell) search.
+    Each energy is integrated once: the value is the one the scan or the
+    refinement found, and the witness is not re-integrated.
     """
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
-    if horizon is None:
-        horizon = _default_horizon(decay)
     best_sig, best_cost = family_max(sys, enumerate_family(fam), x, horizon)
-    if refine and best_sig.segments:
+    if best_sig.segments:
         step = 0.5 * min(fam.dwell_grid)
-        best_sig, best_cost = _refine_dwells(
-            sys, x, best_sig, best_cost, horizon, step
-        )
-    tail = upper = None
-    if decay is not None:
-        _, tail = trajectory_cost(sys, best_sig, x, horizon, decay)
-        upper = decay.K**2 / (2.0 * decay.mu) * state_norm(x, sys.norm) ** 2
-    return LyapunovEstimate(best_cost, best_sig, horizon, tail, "V", upper)
+        best_sig, best_cost = _refine_dwells(sys, x, best_sig, best_cost, horizon, step)
+    return LyapunovEstimate(best_cost, best_sig, horizon)
 
 
 def v_tilde(
@@ -319,14 +286,15 @@ def v_tilde(
 
     Dominates the v_sup value on the same family up to quadrature error.  The
     reported witness is the single family signal with the largest energy on
-    the same grid.  The horizon must be finite and nonnegative.
+    the same grid, the earliest on a tie.  Each distinct trajectory of the
+    family is evolved once.  The horizon must be finite and nonnegative.
     """
     if not 0.0 <= horizon < math.inf:  # also refuses NaN
         raise ContractViolation("horizon must be finite and nonnegative")
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
     grid = np.linspace(0.0, horizon, _V_TILDE_POINTS)
-    signals = list(enumerate_family(fam))
+    signals = list(distinct_trajectories(enumerate_family(fam)))
     norms2 = np.empty((len(signals), grid.size))
     for i, sig in enumerate(signals):
         norms2[i] = [state_norm(evolve(sys, sig, float(t), x), sys.norm) ** 2 for t in grid]
@@ -334,7 +302,7 @@ def v_tilde(
     value = float(np.trapezoid(pointwise_sup, grid))
     per_signal = np.trapezoid(norms2, grid, axis=1)
     witness = signals[int(np.argmax(per_signal))]
-    return LyapunovEstimate(value, witness, float(grid[-1]), None, "V_tilde")
+    return LyapunovEstimate(value, witness, float(grid[-1]), "V_tilde")
 
 
 def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) -> float:

@@ -33,11 +33,10 @@ def blowup_transport_pair() -> SwitchedSystem:
     return SwitchedSystem((left, right), NormSpec(1.0))
 
 
-def alternating_signal(delta: float, t_max: float, start_mode: int = 0) -> SwitchingSignal:
-    """Alternate modes 0/1 with dwell delta, with segments covering [0, t_max]."""
+def alternating_signal(delta: float, t_max: float) -> SwitchingSignal:
+    """Alternate modes 0/1 from mode 0 with dwell delta, with segments covering [0, t_max]."""
     k = max(1, math.ceil(t_max / delta - 1e-12))
-    segments = tuple(((start_mode + i) % 2, delta) for i in range(k))
-    return SwitchingSignal(segments, (start_mode + k) % 2)
+    return SwitchingSignal(tuple((i % 2, delta) for i in range(k)), k % 2)
 
 
 def blowup_witnesses(max_m: int = 8):
@@ -72,10 +71,9 @@ def cascade_signal(n: int) -> SwitchingSignal:
     return SwitchingSignal(segments, 0)
 
 
-def edge_witness(eps: float, p_domain=(0.0, 1.0)) -> PiecewiseConstantFn:
-    """Indicator of [1 - eps, 1], the mass that rides the full cascade."""
-    lo, hi = p_domain
-    return PiecewiseConstantFn.indicator(lo, hi, hi - eps, hi)
+def edge_witness(eps: float) -> PiecewiseConstantFn:
+    """Indicator of [1 - eps, 1] on [0, 1], the mass that rides the full cascade."""
+    return PiecewiseConstantFn.indicator(0.0, 1.0, 1.0 - eps, 1.0)
 
 
 def half_line_system(p: float = 1.0) -> SwitchedSystem:
@@ -83,7 +81,7 @@ def half_line_system(p: float = 1.0) -> SwitchedSystem:
     return SwitchedSystem((HalfLineShiftMode(),), NormSpec(p))
 
 
-def scalar_mode_system(rates=(-1.0, -2.0)) -> SwitchedSystem:
+def scalar_mode_system(rates) -> SwitchedSystem:
     """One 1x1 matrix mode per rate, on the Euclidean line."""
     return SwitchedSystem(
         tuple(matrix_mode([[r]]) for r in rates), NormSpec.euclidean()

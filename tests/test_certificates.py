@@ -17,14 +17,16 @@ from swlyap import (
     SwlyapError,
     condition_report,
     datko_certificate,
+    enumerate_family,
     euclidean_state,
     evolve,
+    family_max,
     fit_decay,
     fit_growth,
     gronwall_certificate,
     state_norm,
-    v_sup,
 )
+from swlyap.lyapunov import DEFAULT_HORIZON
 from swlyap.presets import (
     blowup_transport_pair,
     blowup_witnesses,
@@ -209,7 +211,8 @@ class TestGronwall:
         fam = SignalFamily((0.5, 1.0), 1, (0,))
         rng = np.random.default_rng(8)
         xs = [euclidean_state([float(rng.uniform(0.2, 2.0))]) for _ in range(10)]
-        vals = [v_sup(SCALAR, x, fam, refine=False).value / float(x @ x) for x in xs]
+        vals = [family_max(SCALAR, enumerate_family(fam), x, DEFAULT_HORIZON)[1] / float(x @ x)
+                for x in xs]
         eq = NormEquivalence(min(vals), max(vals))
         env = gronwall_certificate(eq)
         sig = SwitchingSignal((), 0)
@@ -251,7 +254,7 @@ class TestConditionReport:
             f = random_dyadic_fn(rng, 0.0, 1.0)
             if not f.is_zero():
                 samples.append(f)
-        v = lambda x: v_sup(sys_, x, fam, horizon=1.25, refine=False).value
+        v = lambda x: family_max(sys_, enumerate_family(fam), x, 1.25)[1]
         rep = condition_report(sys_, v, samples, fam, deriv_grid=(0.25, 0.125, 0.0625))
         assert rep.upper_ok
         assert rep.C_hat <= 1.5 + 1e-9

@@ -57,7 +57,7 @@ SIMULATE = {
 # (id, argv, config or None, {artifact: sha256})
 GOLDEN = [
     ("worst-case-cascade", ["worst-case"], SEARCH, {
-        "estimate.json": "3758ababc8db1fba1e721d91705e3263ffdce25768e5bea5c439506b7df79e2d",
+        "estimate.json": "937cd28aa26b6a9f175043c7b2390d7c36c167f4f40683687dda4b73c4d4aec8",
     }),
     ("simulate-doubling-pair", ["simulate"], SIMULATE, {
         "summary.json": "53045beaeae4ee80729dc5ee6dfa4a61fc8240ca1721d817edd6cedc8afe6ede",

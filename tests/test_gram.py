@@ -161,7 +161,7 @@ class TestGramOfSignal:
             g = gram_of_signal(sys_, sig)
             for _ in range(20):
                 x = euclidean_state(rng.standard_normal(dim))
-                quad, _ = trajectory_cost(sys_, sig, x, horizon=60.0)
+                quad = trajectory_cost(sys_, sig, x, horizon=60.0)
                 assert float(x @ g.B @ x) == pytest.approx(quad, rel=1e-6)
 
     def test_norm_bounded_by_decay_constants(self):
@@ -220,14 +220,15 @@ class TestMemoizedAssembly:
         rng = np.random.default_rng(seed)
         sys_ = three_mode_system(rng)
         fam = SignalFamily((0.25, 0.5, 1.0), 2, tuple(range(n_modes)))
-        # longer than the recursion limit: the prefix walk must not recurse
-        extras = extra_signals(rng, n_modes, sys.getrecursionlimit() + 100)
-        cands = candidates_from_family(sys_, fam, extras)
-        signals = [*enumerate_family(fam), *extras]
+        cands = candidates_from_family(sys_, fam)
+        signals = list(enumerate_family(fam))
         assert [c.source_signal for c in cands] == signals
         for c, sig in zip(cands, signals):
             assert np.array_equal(c.B, reference_gram(sys_, sig)), sig
             assert np.array_equal(gram_of_signal(sys_, sig).B, c.B)
+        # longer than the recursion limit: the prefix walk must not recurse
+        for sig in extra_signals(rng, n_modes, sys.getrecursionlimit() + 100):
+            assert np.array_equal(gram_of_signal(sys_, sig).B, reference_gram(sys_, sig)), sig
 
     def test_one_kernel_call_per_distinct_step_and_tail(self, monkeypatch):
         calls = Counter()
@@ -243,28 +244,28 @@ class TestMemoizedAssembly:
             counted(name, getattr(gram, name))
         sys_ = three_mode_system(np.random.default_rng(4))
         fam = SignalFamily((0.25, 0.5), 2, (0, 2))
-        extras = (SwitchingSignal(((1, 0.25), (0, 0.75)), 1),)
-        cands = candidates_from_family(sys_, fam, extras)
-        signals = [*enumerate_family(fam), *extras]
+        cands = candidates_from_family(sys_, fam)
+        signals = list(enumerate_family(fam))
         steps = {seg for sig in signals for seg in sig.segments}
         tails = {sig.tail_mode for sig in signals}
-        assert len(cands) == len(signals) == 2 + 4 * 2 + 8 * 4 + 1
-        assert len(steps) == 6 and tails == {0, 1, 2}
+        assert len(cands) == len(signals) == 2 + 4 * 2 + 8 * 4
+        assert len(steps) == 4 and tails == {0, 2}
         # segment_energy takes one block exponential and the step one more;
         # lyapunov_solve takes two, the second for its residual correction
-        assert calls == {"segment_energy": 6, "expm": 18, "lyapunov_solve": 3}
+        assert calls == {"segment_energy": 4, "expm": 12, "lyapunov_solve": 2}
         # a fresh assembler per call: nothing is cached between calls
-        candidates_from_family(sys_, fam, extras)
-        assert calls == {"segment_energy": 12, "expm": 36, "lyapunov_solve": 6}
+        candidates_from_family(sys_, fam)
+        assert calls == {"segment_energy": 8, "expm": 24, "lyapunov_solve": 4}
+        gram_of_signal(sys_, SwitchingSignal(((0, 0.25), (1, 0.75)), 2))
+        assert calls == {"segment_energy": 10, "expm": 30, "lyapunov_solve": 5}
 
     def test_unstable_tail_in_a_family_names_mode(self):
         sys_ = scalar_mode_system((-1.0, 1.0))
         with pytest.raises(UnstableTailError, match="tail mode 1 is not Hurwitz"):
             candidates_from_family(sys_, SignalFamily((1.0,), 1, (0, 1)))
-        # the stable tail's signals alone assemble
-        cands = candidates_from_family(sys_, SignalFamily((1.0,), 0, (0,)),
-                                       (SwitchingSignal(((1, 1.0),), 0),))
-        assert len(cands) == 2
+        # the stable tail's signals assemble, the unstable mode as a segment too
+        assert len(candidates_from_family(sys_, SignalFamily((1.0,), 0, (0,)))) == 1
+        assert gram_of_signal(sys_, SwitchingSignal(((1, 1.0),), 0)).B[0, 0] > 0.0
 
 
 class TestGramOperatorInvariants:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from swlyap import (
     ContractViolation,
-    DecayBound,
     DiagonalGroupMode,
     EstimationError,
     NormSpec,
@@ -17,8 +16,10 @@ from swlyap import (
     SwitchingSignal,
     apply,
     augment_system,
+    enumerate_family,
     euclidean_state,
     evolve,
+    family_max,
     generalized_derivative,
     lp_norm,
     matrix_mode,
@@ -32,6 +33,7 @@ from swlyap import (
     v_tilde_single_mode,
 )
 from swlyap import lyapunov
+from swlyap.lyapunov import DEFAULT_HORIZON
 from swlyap.presets import (
     blowup_transport_pair,
     cascade_system,
@@ -46,29 +48,24 @@ SCALARS = scalar_mode_system((-1.0, -2.0))
 CONST0 = SwitchingSignal((), 0)
 
 
+def family_value(sys_, x, fam):
+    """The unrefined family value: v_sup's scan without its dwell refinement."""
+    return family_max(sys_, enumerate_family(fam), x, DEFAULT_HORIZON)[1]
+
+
 class TestTrajectoryCost:
     def test_scalar_half(self):
         x = euclidean_state([1.0])
-        val, tail = trajectory_cost(SCALARS, CONST0, x, horizon=40.0)
+        val = trajectory_cost(SCALARS, CONST0, x, horizon=40.0)
         assert val == pytest.approx(0.5, abs=1e-12)
-        assert tail is None
-
-    def test_tail_bound_formula(self):
-        x = euclidean_state([1.0])
-        decay = DecayBound(1.0, 1.0)
-        val, tail = trajectory_cost(SCALARS, CONST0, x, horizon=2.0, decay=decay)
-        # exact remainder of the scalar integral is e^{-4}/2, the bound matches it here
-        assert tail == pytest.approx(math.exp(-4.0) / 2.0, rel=1e-12)
-        assert val + tail == pytest.approx(0.5, rel=1e-12)
 
     def test_nilpotent_mode_zero_tail(self):
         sys_ = blowup_transport_pair()
         f = PiecewiseConstantFn.indicator(-1.0, 1.0, -0.25, 0.5)
-        val, tail = trajectory_cost(
-            sys_, CONST0, f, horizon=2.5, decay=DecayBound(1.0, 0.5)
-        )
+        val = trajectory_cost(sys_, CONST0, f, horizon=2.5)
         assert math.isfinite(val) and val > 0
-        assert tail == 0.0
+        # the mode is dead from t = 2, so the half unit past it adds nothing
+        assert val == trajectory_cost(sys_, CONST0, f, horizon=2.0)
 
     def test_exact_transport_energy(self):
         # left doubler, witness right of the hinge: the L^1 norm along time is
@@ -76,7 +73,7 @@ class TestTrajectoryCost:
         #   and 2*(1.5 - t) while exiting the domain at -1; zero from t = 1.5
         sys_ = blowup_transport_pair()
         f = PiecewiseConstantFn.indicator(-1.0, 1.0, 0.25, 0.5)
-        val, _ = trajectory_cost(sys_, CONST0, f, horizon=2.0)
+        val = trajectory_cost(sys_, CONST0, f, horizon=2.0)
         exact = (
             0.25 * 0.25**2
             + (0.5**3 - 0.25**3) / 3.0
@@ -97,7 +94,7 @@ class TestTrajectoryCost:
             f = random_dyadic_fn(rng, 0.0, 1.0)
             if f.is_zero():
                 continue
-            val, _ = trajectory_cost(sys_, sig, f, horizon=1.25)
+            val = trajectory_cost(sys_, sig, f, horizon=1.25)
             assert val <= 1.5 * lp_norm(f, sys_.norm) ** 2 + 1e-9
 
     def test_contract_violations(self):
@@ -116,8 +113,8 @@ class TestTrajectoryCost:
         assume(mu * d < 1e-6)
         x = euclidean_state([1.0])
         group = SwitchedSystem((DiagonalGroupMode(mu),), NormSpec.euclidean())
-        val, _ = trajectory_cost(group, CONST0, x, d)
-        assert val == trajectory_cost(scalar_mode_system((-mu,)), CONST0, x, d)[0]
+        val = trajectory_cost(group, CONST0, x, d)
+        assert val == trajectory_cost(scalar_mode_system((-mu,)), CONST0, x, d)
         assert val == pytest.approx(d - mu * d * d + 2.0 / 3.0 * mu * mu * d**3, rel=1e-12)
 
 
@@ -136,9 +133,11 @@ class TestVSup:
     def test_pair_exhaustive_three_switch_family(self):
         # 518 signals; every mixture decays faster, the constant slow mode wins
         fam = SignalFamily((0.25, 0.5, 1.0), 3, (0, 1))
-        est = v_sup(SCALARS, euclidean_state([1.0]), fam, refine=False)
-        assert est.value == pytest.approx(0.5, abs=1e-3)
-        assert est.witness == SwitchingSignal((), 0)
+        witness, value = family_max(
+            SCALARS, enumerate_family(fam), euclidean_state([1.0]), DEFAULT_HORIZON
+        )
+        assert value == pytest.approx(0.5, abs=1e-3)
+        assert witness == SwitchingSignal((), 0)
 
     def test_zero_state(self):
         est = v_sup(SCALARS, euclidean_state([0.0]))
@@ -150,21 +149,12 @@ class TestVSup:
         sys_ = commuting_diag_pair()
         for _ in range(5):
             x = euclidean_state(rng.standard_normal(2))
-            base = v_sup(sys_, x, fam, refine=False)
+            base_sig, base = family_max(sys_, enumerate_family(fam), x, DEFAULT_HORIZON)
             for c in (2.0, -2.0, 0.5):
-                scaled = v_sup(sys_, euclidean_state(c * x), fam, refine=False)
-                assert scaled.value == c * c * base.value
-                assert scaled.witness == base.witness
-
-    def test_upper_bound_reported_with_decay(self):
-        est = v_sup(
-            scalar_mode_system((-1.0,)),
-            euclidean_state([2.0]),
-            decay=DecayBound(1.0, 1.0),
-        )
-        assert est.upper_bound == pytest.approx(2.0)
-        assert est.value <= est.upper_bound * (1.0 + 1e-9)
-        assert est.tail_bound is not None
+                y = euclidean_state(c * x)
+                sig, scaled = family_max(sys_, enumerate_family(fam), y, DEFAULT_HORIZON)
+                assert scaled == c * c * base
+                assert sig == base_sig
 
     def test_convexity_of_sqrt(self):
         rng = np.random.default_rng(32)
@@ -175,10 +165,10 @@ class TestVSup:
             y = euclidean_state(rng.standard_normal(2))
             lam = float(rng.uniform())
             mix = euclidean_state(lam * x + (1 - lam) * y)
-            sq = math.sqrt(v_sup(sys_, mix, fam, refine=False).value)
-            bound = lam * math.sqrt(v_sup(sys_, x, fam, refine=False).value) + (
+            sq = math.sqrt(family_value(sys_, mix, fam))
+            bound = lam * math.sqrt(family_value(sys_, x, fam)) + (
                 1 - lam
-            ) * math.sqrt(v_sup(sys_, y, fam, refine=False).value)
+            ) * math.sqrt(family_value(sys_, y, fam))
             assert sq <= bound + 1e-9
 
     def test_each_family_signal_is_integrated_once(self, monkeypatch):
@@ -192,26 +182,20 @@ class TestVSup:
         sys_ = commuting_diag_pair()
         x = euclidean_state([1.0, 0.5])
         fam = SignalFamily((0.5, 1.0), 1, (0, 1))
-        est = v_sup(sys_, x, fam, refine=False)
+        est = v_sup(sys_, x, fam)
+        # the constant slow mode wins, so there are no dwells to refine
+        assert est.witness == CONST0
         assert len(calls) == family_size(fam)
-        assert est.tail_bound is None and est.upper_bound is None
         # the value is the witness's energy from the scan
-        assert est.value == trajectory_cost(sys_, est.witness, x, est.horizon)[0]
-        calls.clear()
-        tailed = v_sup(sys_, x, fam, refine=False, decay=DecayBound(1.0, 1.0))
-        assert len(calls) == family_size(fam) + 1
-        assert calls[-1] == tailed.witness
-        assert tailed.tail_bound == trajectory_cost(
-            sys_, tailed.witness, x, tailed.horizon, DecayBound(1.0, 1.0)
-        )[1]
+        assert est.value == trajectory_cost(sys_, est.witness, x, est.horizon)
 
     def test_refinement_never_decreases(self):
         sys_ = commuting_diag_pair()
         x = euclidean_state([1.0, 0.5])
         fam = SignalFamily((0.5,), 1, (0, 1))
-        rough = v_sup(sys_, x, fam, refine=False)
-        fine = v_sup(sys_, x, fam, refine=True)
-        assert fine.value >= rough.value
+        rough = family_value(sys_, x, fam)
+        fine = v_sup(sys_, x, fam)
+        assert fine.value >= rough
 
 
 class TestVTilde:
@@ -219,7 +203,7 @@ class TestVTilde:
         sys_ = scalar_mode_system((-1.0,))
         x = euclidean_state([1.0])
         est = v_tilde(sys_, x, SignalFamily((1.0,), 0, (0,)), horizon=10.0)
-        cost, _ = trajectory_cost(sys_, CONST0, x, horizon=10.0)
+        cost = trajectory_cost(sys_, CONST0, x, horizon=10.0)
         assert est.value == pytest.approx(cost, rel=1e-4)
 
     def test_zero_state(self):
@@ -236,9 +220,42 @@ class TestVTilde:
         rng = np.random.default_rng(33)
         for _ in range(5):
             x = euclidean_state(rng.standard_normal(2))
-            lo = v_sup(sys_, x, fam, refine=False).value
+            lo = family_value(sys_, x, fam)
             hi = v_tilde(sys_, x, fam, horizon=10.0).value
             assert hi >= lo - 1e-3 * max(1.0, lo)
+
+    @staticmethod
+    def raw_family_v_tilde(sys_, x, fam, horizon):
+        """``(value, witness)`` of v_tilde's grid max over every raw family signal."""
+        grid = np.linspace(0.0, horizon, lyapunov._V_TILDE_POINTS)
+        signals = list(enumerate_family(fam))
+        norms2 = np.array([[state_norm(evolve(sys_, sig, float(t), x), sys_.norm) ** 2
+                            for t in grid] for sig in signals])
+        per_signal = np.trapezoid(norms2, grid, axis=1)
+        return float(np.trapezoid(norms2.max(axis=0), grid)), signals[int(np.argmax(per_signal))]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),
+           depth=st.integers(1, 2), dwells=st.sampled_from([(0.25,), (0.125, 0.375)]))
+    def test_dyadic_cascade_equals_raw_family(self, seed, n_modes, depth, dwells):
+        # the grid step 1.5625 / 800 = 2^-9 keeps every time dyadic, so a repeated
+        # trajectory evolves bit for bit as its first signal
+        fam = SignalFamily(dwells, depth, tuple(range(n_modes)))
+        assume(family_size(fam) <= 24)
+        rng = np.random.default_rng(seed)
+        sys_, f = cascade_system(n_modes), random_dyadic_fn(rng, 0.0, 1.0)
+        est = v_tilde(sys_, f, fam, horizon=1.5625)
+        assert (est.value, est.witness) == self.raw_family_v_tilde(sys_, f, fam, 1.5625)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dwells=st.sampled_from([(0.5, 1.0), (0.25, 0.5, 0.75)]))
+    def test_commuting_pair_matches_raw_family(self, seed, dwells):
+        sys_ = commuting_diag_pair()
+        x = euclidean_state(np.random.default_rng(seed).standard_normal(2))
+        fam = SignalFamily(dwells, 1, (0, 1))
+        value, _ = self.raw_family_v_tilde(sys_, x, fam, 5.0)
+        assert v_tilde(sys_, x, fam, horizon=5.0).value == pytest.approx(value, rel=1e-12)
 
 
 class TestVTildeSingleMode:
@@ -284,7 +301,7 @@ class TestGeneralizedDerivative:
 
     def test_fast_mode_decays_strictly_faster(self):
         fam = SignalFamily.default(2)
-        v = lambda y: v_sup(SCALARS, y, fam, refine=False).value
+        v = lambda y: family_value(SCALARS, y, fam)
         est = generalized_derivative(v, SCALARS, 1, euclidean_state([1.0]))
         assert est.value <= -1.0 - 0.5
 
@@ -344,8 +361,7 @@ class TestAugmentation:
         fam = SignalFamily((0.5, 1.0), 1, (0, 1, 2))
         for _ in range(10):
             x = euclidean_state(rng.standard_normal(2))
-            est = v_sup(aug, x, fam, refine=False)
-            assert est.value >= 0.5 * state_norm(x, aug.norm) ** 2 - 1e-6
+            assert family_value(aug, x, fam) >= 0.5 * state_norm(x, aug.norm) ** 2 - 1e-6
 
     def test_invalid_mu(self):
         with pytest.raises(ContractViolation):

@@ -253,7 +253,7 @@ def test_both_entry_points_reject_with_one_message(build, lo, hi, breaks, values
 
 def closed_form_energy(mode, f, d, p):
     sys_ = SwitchedSystem((mode,), NormSpec(p))
-    return trajectory_cost(sys_, SwitchingSignal((), 0), f, horizon=d)[0]
+    return trajectory_cost(sys_, SwitchingSignal((), 0), f, horizon=d)
 
 
 def _horizon(f, t):
@@ -290,7 +290,7 @@ class TestClosedFormEnergy:
             mode = sys_.mode(mode_id)
             want += gl2_energy(mode, state, dwell, 1.0)
             state = reference_apply(mode, dwell, state)
-        got, _ = trajectory_cost(sys_, sig, f, horizon=1.5)
+        got = trajectory_cost(sys_, sig, f, horizon=1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
 
