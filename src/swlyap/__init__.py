@@ -15,6 +15,7 @@ from .certificates import (
     fit_decay,
     fit_growth,
     gronwall_certificate,
+    norm_ratio_samples,
 )
 from .errors import (
     ContractViolation,
@@ -39,7 +40,6 @@ from .gram import (
     v_max,
 )
 from .lyapunov import (
-    DerivativeEstimate,
     LyapunovEstimate,
     augment_system,
     family_max,

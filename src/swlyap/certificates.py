@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import DatkoCertificate, DecayBound, GrowthBound, NormEquivalence
 from .errors import ContractViolation, EstimationError, SwlyapError
-from .lyapunov import default_derivative_grid, generalized_derivative
+from .lyapunov import generalized_derivative
 from .state_space import state_norm
 from .switching import (
     SignalFamily,
@@ -28,11 +28,11 @@ from .switching import (
 
 __all__ = [
     "FitRefusal",
+    "norm_ratio_samples",
     "fit_growth",
     "fit_decay",
     "datko_certificate",
     "gronwall_certificate",
-    "SampleCheck",
     "ConditionReport",
     "condition_report",
     "EMPIRICAL_PROVENANCE",
@@ -58,10 +58,10 @@ class FitRefusal:
         return {**asdict(self), "refused": True, "signal": signal}
 
 
-def _norm_ratio_samples(sys, fam, time_grid, witnesses):
+def norm_ratio_samples(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> list:
     """Per time point ``(t, ratio, signal)``: the sup norm ratio over the
     family's distinct trajectories and the witnesses, and the first signal
-    that reaches it."""
+    that reaches it.  Both fits take this list."""
     time_grid = [float(t) for t in time_grid]
     if not time_grid:
         raise ContractViolation("need at least one time point")
@@ -84,40 +84,36 @@ def _norm_ratio_samples(sys, fam, time_grid, witnesses):
     return samples
 
 
-def _log_slope(ts, rs):
-    pts = [(t, math.log(r)) for t, r in zip(ts, rs) if r > 0.0]
+def _log_slope(samples) -> float:
+    pts = [(t, math.log(r)) for t, r, _ in samples if r > 0.0]
     if len(pts) < 2:
         raise EstimationError("not enough nonzero samples to fit an exponential")
     t = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(t, y, 1)
-    return float(slope), float(intercept)
+    return float(np.polyfit(t, y, 1)[0])
 
 
-def fit_growth(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> GrowthBound:
-    """Least-squares exponential envelope M e^{omega t} majorizing all samples:
-    per time point, the sup norm ratio over the family's distinct trajectories
-    and the witnesses."""
-    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
+def fit_growth(samples) -> GrowthBound:
+    """Least-squares exponential envelope M e^{omega t} majorizing all
+    ``norm_ratio_samples``."""
     rs = [s[1] for s in samples]
     if max(rs) == 0.0:
         raise EstimationError("all sampled norms are zero; nothing to fit")
-    slope, _ = _log_slope([s[0] for s in samples], rs)
+    slope = _log_slope(samples)
     omega = max(slope, 1e-6)
     m = max(r * math.exp(-omega * t) for t, r, _ in samples)
     M = max(1.0, m) * (1.0 + 1e-9)
     return GrowthBound(M, omega)
 
 
-def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses):
-    """Fit K e^{-mu t} majorizing the samples, or refuse if they do not decay.
+def fit_decay(samples):
+    """Fit K e^{-mu t} majorizing ``norm_ratio_samples``, or refuse if they do
+    not decay.
 
-    A sample is the sup norm ratio at one time point over the family's
-    distinct trajectories and the witnesses.  Refusal is triggered when the
-    sampled sup norm has nonnegative trend over the last decade of the grid
-    (t >= t_max / 10); the refusal carries the worst sample and its signal.
+    Refusal is triggered when the sampled sup norm has nonnegative trend over
+    the last decade of the grid (t >= t_max / 10); the refusal carries the
+    worst sample and its signal.
     """
-    samples = _norm_ratio_samples(sys, fam, time_grid, witnesses)
     rs = [s[1] for s in samples]
     if max(rs) == 0.0:
         raise EstimationError("all sampled norms are zero; nothing to fit")
@@ -125,14 +121,14 @@ def fit_decay(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses):
     tail = [s for s in samples if s[0] >= t_max / 10.0]
     worst = max(tail, key=lambda s: s[1])
     try:
-        tail_slope, _ = _log_slope([s[0] for s in tail], [s[1] for s in tail])
+        tail_slope = _log_slope(tail)
     except EstimationError:
         tail_slope = -math.inf  # everything in the tail already reached zero
     if tail_slope >= 0.0:
         return FitRefusal(
             "sampled sup norm is nondecreasing over the last decade of the grid", *worst
         )
-    slope, _ = _log_slope([s[0] for s in samples], rs)
+    slope = _log_slope(samples)
     if slope >= 0.0:
         return FitRefusal("sampled sup norm grows over the grid", *worst)
     mu = -slope
@@ -199,18 +195,6 @@ def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> Dec
     return DecayBound(K, mu)
 
 
-@dataclass(frozen=True)
-class SampleCheck:
-    """Per-state outcome of the functional checks."""
-
-    norm2: float
-    v_value: float
-    ratio: float | None  # v / ||x||^2, None for the zero state
-    derivative_ok: bool
-    derivative_values: tuple
-    vacuous: bool = False
-
-
 @dataclass
 class ConditionReport:
     """Summary of which stability conditions the sampled evidence supports.
@@ -222,7 +206,7 @@ class ConditionReport:
     directly here.
     """
 
-    samples: list = field(default_factory=list)
+    n_samples: int = 0  # the zero samples and those the evaluator did not fail on
     c_hat: float | None = None
     C_hat: float | None = None
     upper_ok: bool = False
@@ -250,7 +234,7 @@ class ConditionReport:
             "kappa_tol": _KAPPA_TOL,
             "supports": dict(self.supports),
             "notes": list(self.notes),
-            "n_samples": len(self.samples),
+            "n_samples": self.n_samples,
             "provenance": EMPIRICAL_PROVENANCE,
         }
 
@@ -259,46 +243,37 @@ def condition_report(
     sys: SwitchedSystem,
     v,
     samples,
-    fam: SignalFamily | None = None,
+    fam: SignalFamily,
     growth: GrowthBound | None = None,
-    deriv_grid=None,
 ) -> ConditionReport:
     """Check comparability and derivative conditions of an evaluator on samples.
 
     ``v`` maps states to functional values; it runs once at each sample and
-    once per mode and derivative grid step, the sample's own value being
-    shared by every mode's quotients.  Per sample the report records
-    the ratio v / ||x||^2 and whether every mode's difference quotient stays
-    below -||x||^2 (1 - kappa_tol), with kappa_tol = 0.05.  Library errors
-    raised by the evaluator are recorded per sample rather than aborting the
-    sweep; any other exception is a bug and propagates.  A ``growth`` envelope
-    is checked at t = 0.5, 1, 2 and 4 against the sup norm ratio over the
-    family's distinct trajectories and the nonzero samples.
+    once per mode and derivative step, the sample's own value being shared by
+    every mode's quotients.  Every mode's quotients are evaluated, and each
+    must stay below -||x||^2 (1 - kappa_tol), with kappa_tol = 0.05.  Library
+    errors raised by the evaluator are recorded per sample rather than
+    aborting the sweep; any other exception is a bug and propagates.  A
+    ``growth`` envelope is checked at t = 0.5, 1, 2 and 4, extrapolated past a
+    shorter fitted grid, against the sup norm ratio over the family's distinct
+    trajectories and the nonzero samples.
     """
     if not samples:
         raise ContractViolation("need at least one sample state")
-    if deriv_grid is None:
-        deriv_grid = default_derivative_grid()
     report = ConditionReport(growth=growth)
     ratios = []
     deriv_all_ok = True
     for x in samples:
         n2 = state_norm(x, sys.norm) ** 2
         if n2 == 0.0:
-            report.samples.append(SampleCheck(0.0, 0.0, None, True, (), vacuous=True))
+            report.n_samples += 1
             continue
         try:
             val = v(x)
-            dvals = []
-            ok = True
-            for j in range(sys.n_modes):
-                est = generalized_derivative(v, sys, j, x, deriv_grid, v0=val)
-                dvals.append(est.value)
-                if not est.value <= -n2 * (1.0 - _KAPPA_TOL):
-                    ok = False
-            report.samples.append(SampleCheck(n2, val, val / n2, ok, tuple(dvals)))
+            dvals = [generalized_derivative(v, sys, j, x, v0=val) for j in range(sys.n_modes)]
+            report.n_samples += 1
             ratios.append(val / n2)
-            deriv_all_ok = deriv_all_ok and ok
+            deriv_all_ok = deriv_all_ok and all(d <= -n2 * (1.0 - _KAPPA_TOL) for d in dvals)
         except SwlyapError as exc:  # recorded, not fatal
             report.notes.append(f"evaluator failed on a sample: {exc}")
             deriv_all_ok = False
@@ -310,12 +285,8 @@ def condition_report(
     report.derivative_ok = deriv_all_ok
     if growth is not None:
         witnesses = [x for x in samples if state_norm(x, sys.norm) > 0.0]
-        family = fam if fam is not None else SignalFamily.default(sys.n_modes)
-        ok = True
-        for t, r, _ in _norm_ratio_samples(sys, family, _GROWTH_CHECK_GRID, witnesses):
-            if r > growth.at(t) * (1.0 + 1e-9):
-                ok = False
-        report.growth_ok = ok
+        sweep = norm_ratio_samples(sys, fam, _GROWTH_CHECK_GRID, witnesses)
+        report.growth_ok = all(r <= growth.at(t) * (1.0 + 1e-9) for t, r, _ in sweep)
     supports_c = report.upper_ok and report.lower_ok and report.derivative_ok
     supports_b = report.upper_ok and report.derivative_ok and (report.growth_ok is True)
     if report.upper_ok and growth is None:

@@ -27,6 +27,7 @@ from .certificates import (
     fit_decay,
     fit_growth,
     gronwall_certificate,
+    norm_ratio_samples,
 )
 from .errors import StructuralError, SwlyapError, under
 from .gram import argmax_set, candidates_from_family, v_max
@@ -354,8 +355,9 @@ def _run_certify(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     samples = _sample_states(sys_, config.n_samples, rng)
     time_grid = [0.25 * k for k in range(1, int(config.horizon / 0.25) + 1)]
-    growth = fit_growth(sys_, fam, time_grid, samples)
-    decay = fit_decay(sys_, fam, time_grid, samples)
+    sweep = norm_ratio_samples(sys_, fam, time_grid, samples)
+    growth = fit_growth(sweep)
+    decay = fit_decay(sweep)
 
     signals = tuple(distinct_trajectories(enumerate_family(fam)))
 

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .semigroups import DiagonalGroupMode, MatrixMode, expm
+from .state_space import euclidean_state
 from .switching import SignalFamily, SwitchedSystem, SwitchingSignal, enumerate_family
 
 __all__ = [
@@ -50,6 +51,16 @@ __all__ = [
 DEFAULT_ARGMAX_TOL = 1e-9
 _BLOCK_STEP_NORM = 4.0  # largest ||A||_1 h exponentiated in one block step
 _MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving up
+
+
+def _square(M, name: str) -> np.ndarray:
+    """``M`` as a nonempty square float matrix with finite entries."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise StructuralError(f"{name} must be a nonempty square matrix")
+    if not np.isfinite(M).all():
+        raise StructuralError(f"{name} must have finite entries")
+    return M
 
 
 def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
@@ -100,10 +111,8 @@ def lyapunov_solve(A, Q) -> np.ndarray:
     the finite segments and corrected once by the solution for its
     residual.  The final residual is checked to 1e-10 ||Q||.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    n = A.shape[0]
-    if A.shape != (n, n) or Q.shape != (n, n):
+    A, Q = _square(A, "A"), _square(Q, "Q")
+    if A.shape != Q.shape:
         raise StructuralError("A and Q must be square matrices of the same size")
     eigs = np.linalg.eigvals(A)
     if np.max(eigs.real) >= -1e-12:
@@ -127,7 +136,7 @@ def segment_energy(A, d: float) -> np.ndarray:
     """Finite-segment energy integral(0, d) e^{A' t} e^{A t} dt."""
     if not (d > 0 and math.isfinite(d)):
         raise ContractViolation("segment length must be positive and finite")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _square(A, "A")
     G = _energy(A, np.eye(A.shape[0]), d)
     return 0.5 * (G + G.T)
 
@@ -140,11 +149,8 @@ class GramOperator:
     source_signal: SwitchingSignal
 
     def __post_init__(self):
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        B = _square(self.B, "Gram operator")
         object.__setattr__(self, "B", B)
-        n = B.shape[0]
-        if B.shape != (n, n):
-            raise StructuralError("Gram operator must be square")
         scale = max(1.0, float(np.linalg.norm(B, 2)))
         if np.linalg.norm(B - B.T, 2) > 1e-12 * scale:
             raise StructuralError("Gram operator must be symmetric")
@@ -248,10 +254,19 @@ def candidates_from_family(sys: SwitchedSystem, fam: SignalFamily | None = None)
     return tuple(map(_Assembler(sys).gram, enumerate_family(fam)))
 
 
-def v_max(cands: CandidateSet, x: np.ndarray) -> float:
-    """max over candidates of the quadratic form <x, Bx>."""
+def _state(cands: CandidateSet, x) -> np.ndarray:
+    """``x``, a state or a direction, checked against a nonempty candidate set."""
     if not cands:
         raise StructuralError("candidate set must be nonempty")
+    x = euclidean_state(x)
+    if x.shape != (cands[0].dim,):
+        raise StructuralError(f"vector of length {x.size}, candidates of dimension {cands[0].dim}")
+    return x
+
+
+def v_max(cands: CandidateSet, x: np.ndarray) -> float:
+    """max over candidates of the quadratic form <x, Bx>."""
+    x = _state(cands, x)
     return max(c.quad(x) for c in cands)
 
 
@@ -268,6 +283,9 @@ class ArgmaxSet:
 
 
 def argmax_set(cands: CandidateSet, x: np.ndarray, tol: float = DEFAULT_ARGMAX_TOL) -> ArgmaxSet:
+    x = _state(cands, x)
+    if not 0.0 <= tol < math.inf:  # also refuses NaN
+        raise ContractViolation("tol must be finite and nonnegative")
     if float(np.linalg.norm(x)) == 0.0:
         raise DegenerateInputError("all candidates tie at x = 0; argmax set undefined")
     vals = [c.quad(x) for c in cands]
@@ -285,4 +303,5 @@ def directional_derivative(
     (singleton argmax) this is the classical quadratic-form pairing.
     """
     S = argmax_set(cands, x, tol)
+    psi = _state(cands, psi)
     return max(2.0 * float(psi @ (cands[i].B @ x)) for i in S.indices)

@@ -36,7 +36,6 @@ from .switching import (
 
 __all__ = [
     "LyapunovEstimate",
-    "DerivativeEstimate",
     "trajectory_cost",
     "family_max",
     "v_sup",
@@ -44,7 +43,6 @@ __all__ = [
     "v_tilde_single_mode",
     "generalized_derivative",
     "augment_system",
-    "default_derivative_grid",
 ]
 
 DEFAULT_HORIZON = 10.0
@@ -53,6 +51,7 @@ _SINGLE_MODE_POINTS = 2001  # time points of the v_tilde_single_mode grid
 _QUAD_RTOL = 1e-9  # relative tolerance of the adaptive Simpson matrix energies
 _TIE_RTOL = 1e-12
 _REFINE_MAX_EVALS = 60  # energy evaluations of one v_sup dwell refinement
+DERIVATIVE_STEPS = tuple(2.0**-k for k in range(4, 21))  # generalized_derivative's quotient steps
 
 
 @dataclass(frozen=True)
@@ -71,22 +70,6 @@ class LyapunovEstimate:
 
     def to_json(self) -> dict:
         return {**asdict(self), "witness": self.witness.to_json(), "bound_direction": "lower"}
-
-
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    """Sampled difference-quotient bound for the generalized derivative.
-
-    The reported value is the minimum of (V(T_j(t)x) - V(x)) / t over the
-    grid, an upper bound surrogate for the liminf as t tends to 0.
-    """
-
-    mode_id: int
-    value: float
-
-
-def default_derivative_grid() -> tuple:
-    return tuple(2.0**-k for k in range(4, 21))
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -199,6 +182,7 @@ def trajectory_cost(sys: SwitchedSystem, sig: SwitchingSignal, x, horizon: float
     """
     if not 0.0 < horizon < math.inf:  # also refuses NaN
         raise ContractViolation("horizon must be positive and finite")
+    state_norm(x, sys.norm)  # raises InvalidStateError on a non-finite state
     total = 0.0
     try:
         for mode, step, start, end in walk(sys, sig, horizon, x):
@@ -311,10 +295,13 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) ->
     Evaluates integral(0, horizon) of max over s in [0, tau] of
     e^{2 mu (s - tau)} ||T(s) x||^2, by a running-max recursion over the grid.
     """
-    if mu <= 0:
-        raise ContractViolation("mu must be positive")
-    grid = np.linspace(0.0, horizon, _SINGLE_MODE_POINTS)
+    if not 0.0 < mu < math.inf:  # also refuses NaN
+        raise ContractViolation("mu must be positive and finite")
+    if not 0.0 <= horizon < math.inf:
+        raise ContractViolation("horizon must be finite and nonnegative")
     spec = NormSpec(2.0) if isinstance(x, PiecewiseConstantFn) else NormSpec.euclidean()
+    state_norm(x, spec)  # raises InvalidStateError on a non-finite state
+    grid = np.linspace(0.0, horizon, _SINGLE_MODE_POINTS)
     g = np.array([state_norm(apply(mode, float(t), x), spec) ** 2 for t in grid])
     m = np.empty_like(g)
     m[0] = g[0]
@@ -324,32 +311,21 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) ->
 
 
 def generalized_derivative(
-    v, sys: SwitchedSystem, mode_id: int, x, t_grid=None, v0: float | None = None
-) -> DerivativeEstimate:
+    v, sys: SwitchedSystem, mode_id: int, x, v0: float | None = None
+) -> float:
     """Difference-quotient estimate of the generalized derivative along one mode.
 
-    ``v`` is any evaluator mapping states to values.  The minimum quotient over
-    the decreasing grid upper-bounds the liminf, which is the conservative
-    direction when checking a decay condition of the form <= -||x||^2.
-    ``v0`` is ``v(x)`` when the caller already holds it; when None it is
-    evaluated here, so ``v`` runs once per grid step plus once for x.
+    ``v`` is any evaluator mapping states to values.  The result is the minimum
+    of (v(T_j(t)x) - v(x)) / t over DERIVATIVE_STEPS, t = 2^-4 down to 2^-20,
+    which upper-bounds the liminf as t tends to 0: the conservative direction
+    when checking a decay condition of the form <= -||x||^2.  ``v0`` is
+    ``v(x)`` when the caller already holds it; when None it is evaluated here,
+    so ``v`` runs once per step plus once for x.
     """
-    if t_grid is None:
-        t_grid = default_derivative_grid()
-    t_grid = tuple(sorted((float(t) for t in t_grid), reverse=True))
-    if not t_grid or t_grid[-1] <= 0:
-        raise ContractViolation("t grid must be positive")
-    if t_grid[-1] < 1e-12:
-        raise ContractViolation("smallest step is below the machine-safe threshold")
     mode = sys.mode(mode_id)
     if v0 is None:
         v0 = v(x)
-    value = math.inf
-    for t in t_grid:
-        q = (v(apply(mode, t, x)) - v0) / t
-        if q < value:
-            value = q
-    return DerivativeEstimate(mode_id, value)
+    return min((v(apply(mode, t, x)) - v0) / t for t in DERIVATIVE_STEPS)
 
 
 def augment_system(sys: SwitchedSystem, mu: float) -> SwitchedSystem:

@@ -106,6 +106,8 @@ class PiecewiseConstantFn:
         cls, domain_lo: float, domain_hi: float, lo: float, hi: float, value: float = 1.0
     ) -> "PiecewiseConstantFn":
         """Indicator of [lo, hi) within the domain, scaled by ``value``."""
+        if math.isnan(lo) or math.isnan(hi):
+            raise StructuralError("indicator bounds must not be NaN")
         lo = max(float(lo), float(domain_lo))
         hi = min(float(hi), float(domain_hi))
         if not lo < hi:
@@ -218,23 +220,17 @@ def canonicalize(f: PiecewiseConstantFn) -> PiecewiseConstantFn:
 
 def lp_norm_pow(f: PiecewiseConstantFn, p: float) -> float:
     """The p-th power of the L^p norm, sum of |v|^p * piece length; raises
-    InvalidStateError when a value or the sum is not finite."""
+    InvalidStateError when the sum is not finite, as any non-finite value makes it."""
     total = 0.0
     if p == 1.0:
         for lo, hi, v in f.pieces():
-            if not math.isfinite(v):
-                raise InvalidStateError("non-finite value in piecewise function")
             total += abs(v) * (hi - lo)
     elif p == 2.0:
         for lo, hi, v in f.pieces():
-            if not math.isfinite(v):
-                raise InvalidStateError("non-finite value in piecewise function")
             total += v * v * (hi - lo)
     else:
         try:
             for lo, hi, v in f.pieces():
-                if not math.isfinite(v):
-                    raise InvalidStateError("non-finite value in piecewise function")
                 total += abs(v) ** p * (hi - lo)
         except OverflowError:  # |v|^p past the double range
             total = math.inf

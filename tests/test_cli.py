@@ -196,7 +196,7 @@ class TestCertifyCost:
         # of the 2 + 2 * 2 * 1 family signals, 0.5 in mode 0 then the tail in
         # mode 0 repeats the constant signal 0, and likewise for mode 1
         n_samples, n_modes, distinct = 2, 2, 2 + 2 * 2 * 1 - 2
-        steps = len(lyapunov.default_derivative_grid())
+        steps = len(lyapunov.DERIVATIVE_STEPS)
         assert steps == 17
         assert len(calls) == n_samples * (1 + steps * n_modes) * distinct
 

@@ -9,6 +9,7 @@ from swlyap import (
     ContractViolation,
     DegenerateInputError,
     DiagonalGroupMode,
+    InvalidStateError,
     NormSpec,
     SignalFamily,
     StructuralError,
@@ -24,6 +25,7 @@ from swlyap import (
     gram_of_signal,
     lyapunov_solve,
     matrix_mode,
+    norm_ratio_samples,
     segment_energy,
     trajectory_cost,
     v_max,
@@ -168,7 +170,8 @@ class TestGramOfSignal:
         sys_ = commuting_diag_pair()
         fam = SignalFamily((0.5, 1.0), 1, (0, 1))
         witnesses = [euclidean_state(v) for v in ([1.0, 0.0], [0.0, 1.0], [0.7, 0.7])]
-        decay = fit_decay(sys_, fam, [0.25 * k for k in range(1, 41)], witnesses)
+        grid = [0.25 * k for k in range(1, 41)]
+        decay = fit_decay(norm_ratio_samples(sys_, fam, grid, witnesses))
         cands = candidates_from_family(sys_, fam)
         bound = decay.K**2 / (2.0 * decay.mu)
         for c in cands:
@@ -276,6 +279,50 @@ class TestGramOperatorInvariants:
     def test_psd_enforced(self):
         with pytest.raises(StructuralError):
             GramOperator(np.array([[-1.0, 0.0], [0.0, 1.0]]), SwitchingSignal((), 0))
+
+
+class TestEntryPointChecks:
+    """Malformed or non-finite input raises a library error, never numpy's."""
+
+    def test_nan_matrices_rejected(self):
+        with pytest.raises(StructuralError, match="A must have finite entries"):
+            lyapunov_solve([[math.nan]], [[1.0]])
+        with pytest.raises(StructuralError, match="Q must have finite entries"):
+            lyapunov_solve([[-1.0]], [[math.inf]])
+        with pytest.raises(StructuralError, match="finite entries"):
+            GramOperator(np.array([[math.nan]]), SwitchingSignal())
+
+    @pytest.mark.parametrize("M", [[[1.0, 2.0]], np.zeros((0, 0)), np.zeros((1, 1, 1))])
+    def test_non_square_matrices_rejected(self, M):
+        with pytest.raises(StructuralError):
+            lyapunov_solve(M, M)
+        with pytest.raises(StructuralError):
+            segment_energy(M, 1.0)
+        with pytest.raises(StructuralError):
+            GramOperator(M, SwitchingSignal())
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.array([1.0]), StructuralError),
+        (np.array([1.0, 2.0, 3.0]), StructuralError),
+        (np.array([math.nan, 1.0]), InvalidStateError),
+        (np.array([1.0, -math.inf]), InvalidStateError),
+    ])
+    def test_states_and_directions_checked(self, bad, error):
+        cands, good = diag_candidates(), euclidean_state([1.0, 0.5])
+        with pytest.raises(error):
+            v_max(cands, bad)
+        with pytest.raises(error):
+            argmax_set(cands, bad)
+        with pytest.raises(error):
+            directional_derivative(cands, bad, good)
+        with pytest.raises(error):
+            directional_derivative(cands, good, bad)
+
+    def test_argmax_needs_candidates_and_a_tolerance(self):
+        with pytest.raises(StructuralError, match="nonempty"):
+            argmax_set((), euclidean_state([1.0]))
+        with pytest.raises(ContractViolation, match="tol"):
+            argmax_set(diag_candidates(), euclidean_state([1.0, 0.5]), math.nan)
 
 
 def diag_candidates():

@@ -131,6 +131,11 @@ class TestStates:
         with pytest.raises(InvalidStateError):
             euclidean_state([1.0, math.nan])
 
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 0.5), (0.25, math.nan), (math.nan, math.nan)])
+    def test_indicator_rejects_nan_bounds(self, lo, hi):
+        with pytest.raises(StructuralError, match="NaN"):
+            PiecewiseConstantFn.indicator(0.0, 1.0, lo, hi)
+
     def test_state_norm_dispatch(self):
         x = euclidean_state([3.0, 4.0])
         assert state_norm(x, NormSpec.euclidean()) == 5.0
