@@ -84,6 +84,8 @@ def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
         k = _MAX_DOUBLINGS
     else:
         reach = norm * d
+        if not math.isfinite(reach):
+            raise EstimationError(f"||A||_1 d = {reach} leaves no finite step count")
         k = math.ceil(math.log2(reach / _BLOCK_STEP_NORM)) if reach > _BLOCK_STEP_NORM else 0
         h = d / 2.0**k
     block = np.zeros((2 * n, 2 * n))
@@ -93,13 +95,18 @@ def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
     E = expm(block * h)
     Phi = E[n:, n:]
     G = Phi.T @ E[:n, n:]
-    for _ in range(k):
-        G, prev = G + Phi.T @ G @ Phi, G
-        if settle and np.array_equal(G, prev):
-            return G
-        Phi = Phi @ Phi
-    if settle:
-        raise EstimationError(f"stationary energy did not settle in {_MAX_DOUBLINGS} doublings")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for _ in range(k):
+            G, prev = G + Phi.T @ G @ Phi, G
+            if settle and np.array_equal(G, prev):
+                break
+            Phi = Phi @ Phi
+        else:
+            if settle:
+                raise EstimationError(
+                    f"stationary energy did not settle in {_MAX_DOUBLINGS} doublings")
+    if not np.isfinite(G).all():
+        raise EstimationError(f"energy over a dwell of {d} overflows")
     return G
 
 
@@ -138,7 +145,7 @@ def segment_energy(A, d: float) -> np.ndarray:
         raise ContractViolation("segment length must be positive and finite")
     A = _square(A, "A")
     G = _energy(A, np.eye(A.shape[0]), d)
-    return 0.5 * (G + G.T)
+    return 0.5 * G + 0.5 * G.T  # G + G.T may overflow where G does not
 
 
 @dataclass(frozen=True)

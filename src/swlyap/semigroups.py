@@ -22,7 +22,6 @@ breakpoints evolve with exact double arithmetic.  All operations are pure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -258,10 +257,10 @@ def _expm(A: np.ndarray, t: float) -> np.ndarray:
 def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
     """Translate ``f`` by ``t`` and amplify the window of crossed characteristics.
 
-    Output pieces lie between the shifted edges of ``f`` and the window ends.
-    Each piece is valued at its midpoint, which keeps dyadic data exact, and
-    merged into its left neighbour when equal, so the result is canonical as
-    built.
+    One sort of the shifted edges of ``f`` and the window ends gives the output
+    cuts; one walk over them values each piece at its midpoint (exact on dyadic
+    data), read through an index that only moves right over the breaks of ``f``,
+    and merges equal neighbours, so the result is canonical as built.
     """
     if isinstance(mode, HalfLineShiftMode):
         if f.domain_lo != 0.0:
@@ -275,21 +274,21 @@ def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
     lo, hi = f.domain
     if t >= hi - lo:
         return PiecewiseConstantFn._from_floats(lo, hi, (), (0.0,))
-    # output s carries f(s + shift); amplified on [w_lo, w_hi), the points
-    # whose characteristic crossed the edge during [0, t]
+    # output s carries f(s + shift), times g on [w_lo, w_hi): it crossed the edge by t
     c, g = mode.edge, mode.factor
     shift, w_lo, w_hi = (t, c - t, c) if mode.direction == "left" else (-t, c, c + t)
-    cand = {b - shift for b in f.edges()}
-    cand.update((w_lo, w_hi))
-    pts = sorted(x for x in cand if lo < x < hi)
-    pts.append(hi)
-    f_breaks, f_values = f.breaks, f.values
+    cuts = sorted([b - shift for b in f.edges()] + [w_lo, w_hi, hi])
+    f_breaks, f_values, n = f.breaks, f.values, len(f.breaks)
     breaks, values = [], []
-    a = lo
-    for b in pts:
+    a, j = lo, 0
+    for b in cuts:
+        if not a < b <= hi:
+            continue
         m = 0.5 * (a + b)
-        s = m + shift
-        v = f_values[bisect_right(f_breaks, s)] if lo <= s < hi else 0.0
+        s = m + shift  # never decreases, so j = bisect_right(f_breaks, s)
+        while j < n and f_breaks[j] <= s:
+            j += 1
+        v = f_values[j] if lo <= s < hi else 0.0
         if v != 0.0 and w_lo <= m < w_hi:
             v *= g
         if not values or v != values[-1]:

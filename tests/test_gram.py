@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from swlyap import (
     ContractViolation,
     DegenerateInputError,
     DiagonalGroupMode,
+    EstimationError,
     InvalidStateError,
     NormSpec,
     SignalFamily,
@@ -113,6 +115,24 @@ class TestSegmentEnergy:
     def test_positive_length_required(self):
         with pytest.raises(ContractViolation):
             segment_energy([[-1.0]], 0.0)
+
+    @pytest.mark.parametrize("A, d, message", [
+        ([[1.0]], 1000.0, "overflows"),
+        (np.diag([1.0, 2.0]), 400.0, "overflows"),
+        ([[1e300]], 1e300, "no finite step count"),
+    ], ids=["scalar", "diagonal", "step-count"])
+    def test_overflow_is_an_estimation_error(self, A, d, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=message):
+                segment_energy(A, d)
+
+    def test_largest_finite_energy_returned(self):
+        # (e^710 - 1) / 2 is finite, twice it is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = segment_energy([[1.0]], 355.0)
+        assert E[0, 0] == pytest.approx(0.5 * math.exp(355.0) * math.exp(355.0), rel=1e-12)
 
 
 class TestGramOfSignal:
