@@ -1,4 +1,6 @@
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from swlyap import (
     matrix_mode,
     family_size,
     operator_norm_witness,
+    segment_energy,
     shift_signal,
     state_norm,
     trajectory_cost,
@@ -32,7 +35,7 @@ from swlyap import (
     v_tilde,
     v_tilde_single_mode,
 )
-from swlyap import lyapunov
+from swlyap import lyapunov, semigroups, switching
 from swlyap.lyapunov import DEFAULT_HORIZON, DERIVATIVE_STEPS
 from swlyap.presets import (
     blowup_transport_pair,
@@ -42,6 +45,7 @@ from swlyap.presets import (
 )
 from swlyap.switching import walk
 
+from oracle_quadrature import adaptive_simpson_energy
 from test_state_space import random_dyadic_fn
 
 SCALARS = scalar_mode_system((-1.0, -2.0))
@@ -116,6 +120,92 @@ class TestTrajectoryCost:
         val = trajectory_cost(group, CONST0, x, d)
         assert val == trajectory_cost(scalar_mode_system((-mu,)), CONST0, x, d)
         assert val == pytest.approx(d - mu * d * d + 2.0 / 3.0 * mu * mu * d**3, rel=1e-12)
+
+
+@st.composite
+def matrix_segments(draw):
+    """``(A, d, x)``: a 2x2 to 4x4 mode, a dwell in [1e-3, 8] and a nonzero state.
+
+    A random matrix is shifted to a drawn spectral abscissa: Hurwitz in
+    [-3, -0.01], unstable in [0.01, 1], or non-normal (its strictly upper part
+    scaled by up to 20) anywhere in [-3, 1].
+    """
+    n = draw(st.integers(2, 4))
+    unit = st.floats(-1.0, 1.0)
+    M = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    kind = draw(st.sampled_from(("hurwitz", "unstable", "non-normal")))
+    if kind == "non-normal":
+        M = np.diag(np.diag(M)) + draw(st.floats(1.0, 20.0)) * np.triu(M, 1)
+    lo, hi = {"hurwitz": (-3.0, -0.01), "unstable": (0.01, 1.0), "non-normal": (-3.0, 1.0)}[kind]
+    A = M + (draw(st.floats(lo, hi)) - np.linalg.eigvals(M).real.max()) * np.eye(n)
+    x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    assume(np.abs(x).max() > 1e-3)
+    return A, draw(st.floats(1e-3, 8.0)), x
+
+
+def matrix_energy(A, d, x):
+    """``_segment_energy`` of one matrix mode over ``d`` from ``x``."""
+    mode = matrix_mode(A)
+    sys_ = SwitchedSystem((mode,), NormSpec.euclidean())
+    return lyapunov._segment_energy(sys_, mode, d, x, apply(mode, d, x))
+
+
+class TestMatrixEnergy:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(case=(np.diag([-1000.0, -1000.0]), 1.0, np.array([1.0, -0.5])))
+    @given(matrix_segments())
+    def test_matches_the_gram_closed_form(self, case):
+        A, d, x = case
+        want = float(x @ segment_energy(A, d) @ x)
+        assert matrix_energy(A, d, x) == pytest.approx(want, rel=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(matrix_segments())
+    def test_keeps_the_recursive_partition(self, case):
+        # the recursion over scipy's expm at every node, against one step
+        # exponential per level: a changed partition would move the result by
+        # up to the 1e-9 tolerance, rounding only by far less
+        A, d, x = case
+        assert matrix_energy(A, d, x) == pytest.approx(adaptive_simpson_energy(A, d, x), rel=1e-10)
+
+    def test_zero_state_is_exactly_zero(self):
+        A = np.array([[-1.0, 3.0], [0.0, 0.5]])
+        assert matrix_energy(A, 2.0, np.zeros(2)) == 0.0
+
+    def test_fast_non_normal_oscillation_is_quick(self):
+        # about 50 periods of an elliptic orbit whose axes are about 32:1
+        A = np.array([[0.0, 1000.0], [-1.0, 0.0]])
+        x = np.array([1.0, 0.5])
+        start = time.perf_counter()
+        val = matrix_energy(A, 10.0, x)
+        assert time.perf_counter() - start < 1.0
+        assert val == pytest.approx(float(x @ segment_energy(A, 10.0) @ x), rel=1e-8)
+
+    def test_one_apply_per_piece_and_at_most_38_exponentials(self, monkeypatch):
+        # one step exponential per Simpson level (levels 0..36) and one for the
+        # first midpoint; the piece's end state is walk's one apply
+        sys_ = SwitchedSystem(
+            (matrix_mode([[-0.1, -1.0], [2.0, -0.1]]), matrix_mode([[-0.1, -2.0], [1.0, -0.1]])),
+            NormSpec.euclidean(),
+        )
+        sig = SwitchingSignal(((0, 0.5), (1, 1.0), (0, 0.75)), 1)
+        x = euclidean_state([1.0, -0.5])
+        pieces = len(list(walk(sys_, sig, 4.0, x)))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (semigroups, switching, lyapunov):
+            monkeypatch.setattr(module, "apply", counted("apply", module.apply))
+        monkeypatch.setattr(semigroups, "expm", counted("expm", semigroups.expm))
+        monkeypatch.setattr(semigroups, "_EXPM_CACHE", {})
+        trajectory_cost(sys_, sig, x, 4.0)
+        assert pieces == 4 and calls["apply"] == pieces
+        assert 0 < calls["expm"] <= 38 * pieces
 
 
 class TestVSup:
@@ -398,6 +488,13 @@ class TestNonFiniteEnergies:
         sys_ = SwitchedSystem((matrix_mode([[300.0, 0.0], [0.0, 1.0]]),), NormSpec.euclidean())
         with pytest.raises(EstimationError, match="not finite"):
             trajectory_cost(sys_, CONST0, euclidean_state([1.0, 1.0]), 10.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_matrix_integrand_names_its_interval(self):
+        # e^{300 t} is finite at t = 1.2, its square is not
+        sys_ = SwitchedSystem((matrix_mode([[300.0, 0.0], [0.0, 1.0]]),), NormSpec.euclidean())
+        with pytest.raises(EstimationError, match=r"integrand is not finite on \[0, 1.2\]"):
+            trajectory_cost(sys_, CONST0, euclidean_state([1.0, 1.0]), 1.2)
 
     def test_finite_terms_with_infinite_sum(self):
         sys_ = scalar_mode_system((1.0,))

@@ -2,8 +2,9 @@
 set of every ``swlyap`` module reads the same after ``main`` runs a task.
 
 The one allowance is ``semigroups._EXPM_CACHE``, the matrix-exponential
-memo that the matrix energy path still reads.  Once that path no longer
-needs it, the allowance goes and the set of changed names must be empty.
+memo that ``apply`` reads on ``evolve`` grids (the matrix energy path reads
+none).  Once ``evolve`` no longer needs it, the allowance goes and the set of
+changed names must be empty.
 """
 
 import copy
