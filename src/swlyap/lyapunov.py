@@ -12,7 +12,8 @@ time; the family and the horizon are the gap.  Segment energies are closed
 form for the scalar group and 1x1 matrix modes (one scalar kernel) and for
 transport (between structural events ||x(t)||_p^p is linear in time there).
 Larger matrix modes run adaptive Simpson one level at a time, carrying every
-node state with one step exponential per level and reading no cache.
+node state with one step exponential per level, read from the mode's own
+memo (``MatrixMode.exp``), so every evaluation on one system shares them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import semigroups  # expm is read through the module, so a wrapper of it counts
 from .errors import ContractViolation, EstimationError
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
@@ -77,29 +77,30 @@ class LyapunovEstimate:
 # -- quadrature ----------------------------------------------------------------
 
 
-def _matrix_energy(A: np.ndarray, d: float, x: np.ndarray, end: np.ndarray) -> float:
+def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -> float:
     """integral(0, d) of ||e^{tau A} x||^2 dtau, where ``end`` is e^{dA} x.
 
     Adaptive Simpson to _QUAD_RTOL, relative to the whole-interval estimate,
     run one level at a time: level j keeps its unfinished intervals (width
     d / 2^j) as columns of left and midpoint states, and one step exponential
-    e^{A d / 2^(j+2)} carries them all to their quarter points.  The budget
-    halves with the interval, which both terminates on dead stretches of a
-    decayed integrand and keeps refinement decisions scale-invariant.  What is
-    still open at level 36 is accepted.  The pieces are summed by fsum, which
-    rounds correctly in any order.  A level that is not finite raises
+    e^{A d / 2^(j+2)}, ``mode.exp(0.5 * h)`` for the level's half width h,
+    carries them all to their quarter points.  The budget halves with the
+    interval, which both terminates on dead stretches of a decayed integrand
+    and keeps refinement decisions scale-invariant.  What is still open at
+    level 36 is accepted.  The pieces are summed by fsum, which rounds
+    correctly in any order.  A level that is not finite raises
     EstimationError: no refinement could converge on it.
     """
     pieces = []
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = semigroups.expm(A * (0.5 * d)) @ x
+        mid = mode.exp(0.5 * d) @ x
         ya, ym, lo = x[:, None], mid[:, None], np.zeros(1)
         fa, fm, fb = np.array([x @ x]), np.array([mid @ mid]), np.array([end @ end])
         whole = d / 6.0 * (fa + 4.0 * fm + fb)
         eps = _QUAD_RTOL * (abs(whole[0]) + 1e-300)
         for level in range(37):
             h = d * 0.5 ** (level + 1)  # half the width of this level's intervals
-            step = semigroups.expm(A * (0.5 * h))
+            step = mode.exp(0.5 * h)
             ylm, yrm = step @ ya, step @ ym
             flm, frm = (ylm * ylm).sum(axis=0), (yrm * yrm).sum(axis=0)
             left, right = h / 6.0 * (fa + 4.0 * flm + fm), h / 6.0 * (fm + 4.0 * frm + fb)
@@ -184,7 +185,7 @@ def _segment_energy(sys, mode, d: float, x, end) -> float:
     if isinstance(mode, MatrixMode):
         if mode.dim == 1:
             return _scalar_energy(state_norm(x, sys.norm) ** 2, mode.rows[0][0], d)
-        return _matrix_energy(mode.matrix, d, x, end)
+        return _matrix_energy(mode, d, x, end)
     return _transport_energy(sys, mode, d, x, end)
 
 

@@ -17,6 +17,10 @@ Four kinds of modes are supported:
 
 Transport is implemented directly on the piecewise representation, so dyadic
 breakpoints evolve with exact double arithmetic.  All operations are pure.
+
+The one memo is per matrix mode: ``MatrixMode.exp(t)`` keeps each e^{tA} it
+computes in the mode's own ``__dict__``, cleared once it holds 4,096, and
+lives and dies with the mode.  No module-level state changes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ __all__ = [
     "mode_from_json",
 ]
 
+_EXP_MEMO_MAX = 4096  # exponentials one MatrixMode keeps; a full memo is cleared
+
 
 @dataclass(frozen=True)
 class MatrixMode:
@@ -76,6 +82,20 @@ class MatrixMode:
     @cached_property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _exps(self) -> dict:
+        return {}
+
+    def exp(self, t: float) -> np.ndarray:
+        """e^{tA} as a read-only array, from ``expm(A * t)`` once per ``t``."""
+        hit = self._exps.get(t)
+        if hit is None:
+            if len(self._exps) >= _EXP_MEMO_MAX:
+                self._exps.clear()
+            hit = self._exps[t] = expm(self.matrix * t)
+            hit.setflags(write=False)
+        return hit
 
 
 def matrix_mode(A) -> MatrixMode:
@@ -233,24 +253,6 @@ def expm(A) -> np.ndarray:
     return X
 
 
-# -- matrix exponential cache -------------------------------------------------
-
-_EXPM_CACHE: dict = {}
-_EXPM_CACHE_MAX = 200_000
-
-
-def _expm(A: np.ndarray, t: float) -> np.ndarray:
-    key = (A.tobytes(), A.shape[0], t)
-    hit = _EXPM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    val = expm(A * t)
-    if len(_EXPM_CACHE) >= _EXPM_CACHE_MAX:
-        _EXPM_CACHE.clear()
-    _EXPM_CACHE[key] = val
-    return val
-
-
 # -- transport kernel ----------------------------------------------------------
 
 
@@ -335,7 +337,7 @@ def apply(mode, t: float, x):
             raise StructuralError(
                 f"state dimension {x.shape} does not match mode dimension {mode.dim}"
             )
-        return _expm(mode.matrix, t) @ x
+        return mode.exp(t) @ x
     if isinstance(mode, DiagonalGroupMode):
         scale = math.exp(-mode.mu * t)
         if isinstance(x, np.ndarray):

@@ -1,6 +1,7 @@
 import math
 import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,16 +182,20 @@ class TestMatrixEnergy:
         assert time.perf_counter() - start < 1.0
         assert val == pytest.approx(float(x @ segment_energy(A, 10.0) @ x), rel=1e-8)
 
-    def test_one_apply_per_piece_and_at_most_38_exponentials(self, monkeypatch):
-        # one step exponential per Simpson level (levels 0..36) and one for the
-        # first midpoint; the piece's end state is walk's one apply
-        sys_ = SwitchedSystem(
-            (matrix_mode([[-0.1, -1.0], [2.0, -0.1]]), matrix_mode([[-0.1, -2.0], [1.0, -0.1]])),
-            NormSpec.euclidean(),
-        )
+    def test_one_apply_per_piece_and_at_most_39_exponentials(self, monkeypatch):
+        # per piece: walk's one apply, whose e^{dA} is one exponential, one for
+        # the first midpoint and one step exponential per Simpson level (levels
+        # 0..36); a fresh system's memos start empty, so each is computed here
+        def system():
+            return SwitchedSystem(
+                (matrix_mode([[-0.1, -1.0], [2.0, -0.1]]),
+                 matrix_mode([[-0.1, -2.0], [1.0, -0.1]])),
+                NormSpec.euclidean(),
+            )
+
         sig = SwitchingSignal(((0, 0.5), (1, 1.0), (0, 0.75)), 1)
         x = euclidean_state([1.0, -0.5])
-        pieces = len(list(walk(sys_, sig, 4.0, x)))
+        pieces = len(list(walk(system(), sig, 4.0, x)))
         calls = Counter()
 
         def counted(name, fn):
@@ -202,10 +207,49 @@ class TestMatrixEnergy:
         for module in (semigroups, switching, lyapunov):
             monkeypatch.setattr(module, "apply", counted("apply", module.apply))
         monkeypatch.setattr(semigroups, "expm", counted("expm", semigroups.expm))
-        monkeypatch.setattr(semigroups, "_EXPM_CACHE", {})
-        trajectory_cost(sys_, sig, x, 4.0)
+        trajectory_cost(system(), sig, x, 4.0)
         assert pieces == 4 and calls["apply"] == pieces
-        assert 0 < calls["expm"] <= 38 * pieces
+        assert pieces < calls["expm"] <= 39 * pieces
+
+
+class TestExpMemo:
+    """``MatrixMode.exp``: each e^{tA} is ``expm(A * t)``, computed once per mode."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(matrix_segments(), st.floats(0.0, 8.0))
+    def test_read_only_and_bit_equal_to_expm(self, case, t):
+        mode = matrix_mode(case[0])
+        for s in (case[1], t, case[1]):  # the last is read from the memo
+            E = mode.exp(s)
+            assert not E.flags.writeable
+            assert E.tobytes() == semigroups.expm(mode.matrix * s).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(matrix_segments(), st.floats(0.0, 1.0))
+    def test_warm_memo_gives_the_fresh_cost(self, case, shift):
+        A, d, x = case
+
+        def system():
+            n = len(A)
+            return SwitchedSystem(
+                (matrix_mode(A), matrix_mode(A.T - shift * np.eye(n))), NormSpec.euclidean()
+            )
+
+        sig = SwitchingSignal(((0, d), (1, 0.5 * d)), 0)
+        warm = system()
+        for y in (x[::-1], x):
+            trajectory_cost(warm, sig, y, 2.0 * d)
+        assert trajectory_cost(warm, sig, x, 2.5 * d) == trajectory_cost(system(), sig, x, 2.5 * d)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(matrix_segments(), st.integers(1, 4),
+           st.lists(st.floats(0.0, 8.0), min_size=1, max_size=12))
+    def test_past_its_bound_the_memo_stays_bounded_and_exact(self, case, bound, times):
+        mode = matrix_mode(case[0])
+        with mock.patch.object(semigroups, "_EXP_MEMO_MAX", bound):
+            for t in times + times[::-1]:
+                assert mode.exp(t).tobytes() == semigroups.expm(mode.matrix * t).tobytes()
+                assert len(mode._exps) <= bound
 
 
 class TestVSup:

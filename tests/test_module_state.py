@@ -1,10 +1,8 @@
 """No task leaves state behind in a module: every module-level dict, list or
 set of every ``swlyap`` module reads the same after ``main`` runs a task.
 
-The one allowance is ``semigroups._EXPM_CACHE``, the matrix-exponential
-memo that ``apply`` reads on ``evolve`` grids (the matrix energy path reads
-none).  Once ``evolve`` no longer needs it, the allowance goes and the set of
-changed names must be empty.
+No container may change.  Matrix exponentials are memoized on each
+``MatrixMode``, which lives and dies with the system a task parses.
 """
 
 import copy
@@ -17,8 +15,6 @@ import numpy as np
 import swlyap
 from swlyap import semigroups
 from swlyap.cli import main
-
-ALLOWED = {"semigroups._EXPM_CACHE"}
 
 CERTIFY = {
     "system": {"modes": [{"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -2.0]]},
@@ -65,12 +61,10 @@ def same(a, b) -> bool:
     return a == b
 
 
-def test_tasks_change_no_module_state_but_the_expm_cache(tmp_path, monkeypatch):
+def test_tasks_change_no_module_state(tmp_path, monkeypatch):
     monkeypatch.delenv("SWLYAP_OUT", raising=False)
-    # start from an empty memo, so the run is seen to fill it
-    monkeypatch.setattr(semigroups, "_EXPM_CACHE", {})
     before = {name: copy.deepcopy(value) for name, value in module_containers().items()}
-    assert {"cli._SCALARS", "cli._PARAMS", *ALLOWED} <= before.keys()
+    assert {"cli._SCALARS", "cli._PARAMS"} <= before.keys()
     for task, config in (("certify", CERTIFY), ("worst-case", WORST_CASE)):
         path = tmp_path / f"{task}.json"
         path.write_text(json.dumps(config))
@@ -78,4 +72,27 @@ def test_tasks_change_no_module_state_but_the_expm_cache(tmp_path, monkeypatch):
     after = module_containers()
     assert after.keys() == before.keys()
     changed = {name for name in before if not same(before[name], after[name])}
-    assert changed == ALLOWED
+    assert changed == set()
+
+
+def test_certify_computes_each_exponential_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+    requested, computed = [], []
+    exp, expm = semigroups.MatrixMode.exp, semigroups.expm
+
+    def counted_exp(mode, t):
+        requested.append((mode, t))  # holds the mode, so no id is reused
+        return exp(mode, t)
+
+    def counted_expm(A):
+        computed.append(A)
+        return expm(A)
+
+    monkeypatch.setattr(semigroups.MatrixMode, "exp", counted_exp)
+    monkeypatch.setattr(semigroups, "expm", counted_expm)
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(CERTIFY))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    distinct = {(id(mode), t) for mode, t in requested}
+    assert 0 < len(computed) == len(distinct) < len(requested)
+    assert len({id(mode) for mode, _ in requested}) == 2  # one system, parsed once

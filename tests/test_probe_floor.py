@@ -1,11 +1,19 @@
-"""tools/probe_floor.py on a runs directory holding two fake sample results."""
+"""tools/probe_floor.py on a runs directory holding fake sample results."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "probe_floor.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("probe_floor", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _sample(runs, run, probe_s):
@@ -19,14 +27,29 @@ def _probe_floor(*args):
 
 
 def test_fewest_probes_per_workload_with_its_slowdown(tmp_path):
-    _sample(tmp_path, "transport-search-seed1-trace0-7", [140e-6] * 14)
-    _sample(tmp_path, "transport-search-seed2-trace0-8", [210e-6, 350e-6] * 6)
+    tool = _tool()
+    nominal, floor = tool.run_constant("NOMINAL_PROBE_S"), tool.run_constant("MIN_PROBES")
+    _sample(tmp_path, "transport-search-seed1-trace0-7", [nominal] * (floor + 4))
+    _sample(tmp_path, "transport-search-seed2-trace0-8", [1.5 * nominal, 2.5 * nominal] * 6)
+    _sample(tmp_path, "gram-deep-seed1-trace0-9", [nominal] * (3 * floor))
     out = _probe_floor(tmp_path)
     assert out.returncode == 0
     assert out.stdout.splitlines() == [
-        "transport-search: 12 probes at slowdown 2.00 "
-        "(transport-search-seed2-trace0-8/w0.result.json)"
+        f"gram-deep: {3 * floor} probes at slowdown 1.00, headroom 3.00x over the "
+        f"{floor}-probe floor (gram-deep-seed1-trace0-9/w0.result.json)",
+        f"transport-search: 12 probes at slowdown 2.00, headroom {12 / floor:.2f}x over the "
+        f"{floor}-probe floor (transport-search-seed2-trace0-8/w0.result.json)",
     ]
+
+
+def test_constants_are_read_from_the_benchmark_not_copied(tmp_path):
+    tool = _tool()
+    assert tool.RUN_PY == SCRIPT.parents[1] / "perfbench" / "run.py"
+    fake = tmp_path / "run.py"
+    fake.write_text("import os\nNOMINAL_PROBE_S = 2e-4\nMIN_PROBES = 4  # floor\n")
+    assert tool.run_constant("MIN_PROBES", fake) == 4
+    assert tool.run_constant("NOMINAL_PROBE_S", fake) == 2e-4
+    assert isinstance(tool.run_constant("MIN_PROBES"), int)
 
 
 def test_no_samples_is_an_error(tmp_path):
