@@ -30,7 +30,7 @@ from .certificates import (
     norm_ratio_samples,
 )
 from .errors import StructuralError, SwlyapError, under
-from .gram import argmax_set, candidates_from_family, v_max
+from .gram import _system_dim, argmax_set, candidates_from_family, v_max
 from .lyapunov import family_max, trajectory_cost, v_sup
 from .semigroups import MatrixMode, ShiftAmplifyMode, apply
 from .state_space import PiecewiseConstantFn, euclidean_state, state_from_json, state_norm
@@ -73,6 +73,10 @@ EXAMPLES = tuple(_PARAMS)
 # The most time points `simulate` evaluates, horizon/dt + 1, each evolved from
 # t = 0; also the most signal evaluations `certify` makes over its samples.
 _GRID_LIMIT = 1_000_000
+# The most segment energies `worst-case` integrates, family size x
+# (max_switches + 1); at 0.3-0.4 ms each on a 2-vCPU host, about 8 s.  A two-mode,
+# one-dwell family is accepted at depth 9 (20,460) and refused at depth 10 (45,034).
+_WORST_CASE_LIMIT = 25_000
 # certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
 # slope needs two points of it.
 _CERTIFY_MIN_HORIZON = 0.5
@@ -185,6 +189,14 @@ def _certify_cost(errors, system, family, n_samples, horizon):
                       f"(horizon/0.25 + 1 + 18 x modes) signals, more than {_GRID_LIMIT:,}")
 
 
+def _worst_case_cost(errors, family):
+    """Bound the segment energies of ``worst-case``: at most max_switches + 1
+    for each family signal."""
+    if family_size(family) * (family.max_switches + 1) > _WORST_CASE_LIMIT:
+        errors.append("family: worst_case would integrate family size x (max_switches + 1) "
+                      f"segment energies, more than {_WORST_CASE_LIMIT:,}")
+
+
 def _sampler(system):
     """The first mode ``certify`` can draw sample states for."""
     for mode in system.modes:
@@ -268,6 +280,12 @@ def validate_config(raw, overrides=None):
                               "two points of its 0.25 time grid to fit a rate")
             elif family and n_samples and horizon:
                 _certify_cost(errors, system, family, n_samples, horizon)
+        elif task == "worst_case" and family:
+            _worst_case_cost(errors, family)
+        elif task == "gram":
+            _parse(errors, "system.modes", _system_dim, system)
+            if family:
+                _parse(errors, "family", enumerate_family, family)
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")

@@ -75,9 +75,7 @@ def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
     doubles from a power-of-two step until a doubling leaves G unchanged.
     """
     n = A.shape[0]
-    # ||A||_1, by column sums in plain Python: on the small matrices
-    # exponentiated here numpy's per-call overhead would cost more
-    norm = max(sum(map(abs, col)) for col in A.T.tolist())
+    norm = float(np.abs(A).sum(axis=0).max())
     settle = math.isinf(d)
     if settle:
         h = 2.0 ** math.floor(math.log2(_BLOCK_STEP_NORM / norm))

@@ -3,7 +3,7 @@
 Four kinds of modes are supported:
 
 * ``MatrixMode``        e^{tA} on R^n, via ``expm``: scaling and squaring with
-  Pade approximants (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+  one [13/13] Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 * ``ShiftAmplifyMode``  translation on a bounded interval that multiplies by a
   fixed factor exactly once, when a characteristic strictly crosses the
   amplification edge.  With the edge at an interior point this reproduces the
@@ -181,40 +181,31 @@ def mode_state_kind(mode) -> str:
 
 # -- matrix exponential ---------------------------------------------------------
 
-# For each Pade degree m = 3, 5, 7, 9: theta_m, the largest ||A||_1 at which
-# the [m/m] approximant of e^A is accurate to unit roundoff in double
-# precision, and the approximant's coefficients b_0..b_m (Higham 2005).
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1,
-     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068e0,
-     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-      110880.0, 3960.0, 90.0, 1.0)),
-)
+# theta_13, the largest ||A||_1 at which the [13/13] Pade approximant of e^A
+# is accurate to unit roundoff in double precision, and the approximant's
+# coefficients b_0..b_13 divided by b_0 (Higham 2005), so that A = 0 gives
+# V = I and U = 0, and e^0 = I exactly.
 _THETA_13 = 5.371920351148152e0
-_B13 = (
+_B13 = tuple(b / 64764752532480000.0 for b in (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
     40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
+))
 
 
-def _pade(A: np.ndarray, b: tuple) -> tuple:
-    """The odd part U and even part V of the [m/m] Pade numerator, m = len(b) - 1 <= 9."""
-    ident = np.eye(A.shape[0])
-    A2 = A @ A
-    power, odd, even = ident, b[1] * ident, b[0] * ident
-    for j in range(2, len(b), 2):
-        power = power @ A2
-        odd = odd + b[j + 1] * power
-        even = even + b[j] * power
-    return A @ odd, even
+def expm(A) -> np.ndarray:
+    """e^A of a square matrix by scaling and squaring (Higham 2005).
 
-
-def _pade13(A: np.ndarray) -> tuple:
-    """U and V of the [13/13] approximant, from A^2, A^4 and A^6 alone."""
+    One approximant, [13/13] Pade from A^2, A^4 and A^6: above theta_13, A is
+    scaled by 2^-s into it and the result squared s times.  A non-finite
+    entry in A or in e^A raises EstimationError.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
+    if not math.isfinite(norm):
+        raise EstimationError("matrix exponential of a non-finite matrix")
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    A = A / 2.0**s
     b = _B13
     ident = np.eye(A.shape[0])
     A2 = A @ A
@@ -224,26 +215,6 @@ def _pade13(A: np.ndarray) -> tuple:
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    return U, V
-
-
-def expm(A) -> np.ndarray:
-    """e^A of a square matrix by scaling and squaring (Higham 2005).
-
-    The lowest Pade degree whose theta_m bounds ||A||_1 is used directly;
-    above theta_13, A is scaled by 2^-s into it and the result squared s
-    times.  A non-finite entry in A or in e^A raises EstimationError.
-    """
-    A = np.asarray(A, dtype=float)
-    norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
-    if not math.isfinite(norm):
-        raise EstimationError("matrix exponential of a non-finite matrix")
-    for theta, b in _PADE:
-        if norm <= theta:
-            U, V = _pade(A, b)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
-    U, V = _pade13(A / 2.0**s)
     X = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):

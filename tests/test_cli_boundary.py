@@ -182,6 +182,19 @@ PROBES = [
     ("norm-p-a-list", ["worst-case"],
      pair_config(system={**PAIR, "norm": {"kind": "euclidean", "p": [2]}}), 2,
      "system.norm.p: must be a number"),
+    # worst-case's segment energies and gram's family are bounded before they run
+    ("worst-case-family-too-deep", ["worst-case"],
+     pair_config(family={"dwells": [0.5], "max_switches": 11}), 2, "family: worst_case"),
+    ("worst-case-family-past-enumeration", ["worst-case"],
+     pair_config(family={"dwells": [0.5], "max_switches": 18}), 2, "family: worst_case"),
+    ("gram-family-past-enumeration", ["gram"],
+     pair_config(family={"dwells": [0.5], "max_switches": 18}), 2,
+     "family: family enumerates 1048574 signals"),
+    # gram needs a matrix mode, which no transport or scalar system has
+    ("gram-transport-system", ["gram"], shift_config(), 2,
+     "system.modes: Gram operators need at least one matrix mode"),
+    ("gram-scalar-group-system", ["gram"], mode_config(kind="diagonal_group", mu=1.0), 2,
+     "system.modes: Gram operators need at least one matrix mode"),
 ]
 
 
@@ -291,6 +304,24 @@ def test_certify_cost_bound_sits_at_the_limit():
         t0 = time.perf_counter()
         assert validate_config({**doc, "family": SMALL_FAMILY, **field})[1]
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_worst_case_cost_bound_sits_at_the_limit():
+    def family(n_modes, dwells, k):
+        return {"task": "worst_case", "system": {"modes": [PAIR["modes"][0]] * n_modes},
+                "state": UNIT, "family": {"dwells": dwells, "max_switches": k}}
+
+    # one mode, one dwell: k + 1 signals of up to k + 1 segments
+    assert validate_config(family(1, [0.5], 157))[1] == []  # 158 x 158 = 24,964
+    assert validate_config(family(1, [0.5], 158))[1][0].startswith("family: worst_case")
+    # two modes, one dwell: 2 (2^(k+1) - 1) signals, refused without enumerating them
+    assert validate_config(family(2, [0.5], 9))[1] == []  # 2,046 x 10 = 20,460
+    assert validate_config(family(2, [0.5], 10))[1][0].startswith("family: worst_case")
+    t0 = time.perf_counter()
+    assert validate_config(family(2, [0.5], 11))[1][0].startswith("family: worst_case")
+    assert time.perf_counter() - t0 < 1.0
+    # the benchmark's transport-search shape: 5 modes, 2 dwells, depth 2 is 555 x 3
+    assert validate_config(family(5, [0.0625, 0.25], 2))[1] == []
 
 
 def test_certify_horizon_minimum_is_two_grid_points():

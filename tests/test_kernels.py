@@ -1,6 +1,6 @@
 """The numpy matrix kernels against scipy, which serves only as a test oracle.
 
-`semigroups.expm` (scaling and squaring with Pade approximants) and
+`semigroups.expm` (scaling and squaring with the [13/13] Pade approximant) and
 `gram.lyapunov_solve` (the doubled block-exponential energy) replace
 `scipy.linalg.expm` and `scipy.linalg.solve_continuous_lyapunov`; the library
 itself never imports scipy.
@@ -20,10 +20,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swlyap import EstimationError, lyapunov_solve
-from swlyap.semigroups import _PADE, _THETA_13, expm
+from swlyap.semigroups import _THETA_13, expm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-THETAS = [theta for theta, _ in _PADE] + [_THETA_13]
+# The 1-norms at which the [3/3], [5/5], [7/7] and [9/9] approximants, since
+# deleted, handed over to the next degree; the range they served is now the
+# unscaled [13/13]'s, up to theta_13.
+DEGREE_BOUNDARIES = [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                     2.097847961257068e0, _THETA_13]
+# The 1-norms above theta_13 at which expm's squaring count s steps from j to j + 1.
+SCALING_BOUNDARIES = [_THETA_13 * 2.0**j for j in range(1, 4)]
 
 
 def rel_error(X, Y):
@@ -37,12 +43,12 @@ def with_norm(M, norm):
 
 @st.composite
 def matrices(draw, max_dim=8):
-    """A square matrix of dimension 1..max_dim with 1-norm in [1e-3, 30]."""
+    """A square matrix of dimension 1..max_dim with 1-norm in [1e-12, 30]."""
     n = draw(st.integers(1, max_dim))
     entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
     M = np.array(entries).reshape(n, n)
     assume(np.abs(M).sum(axis=0).max() > 1e-6)
-    return with_norm(M, 10.0 ** draw(st.floats(-3.0, np.log10(30.0))))
+    return with_norm(M, 10.0 ** draw(st.floats(-12.0, np.log10(30.0))))
 
 
 class TestExpm:
@@ -51,10 +57,17 @@ class TestExpm:
     def test_matches_scipy(self, A):
         assert rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-11
 
-    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("theta", DEGREE_BOUNDARIES)
     @pytest.mark.parametrize("factor", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_matches_scipy_at_each_degree_boundary(self, theta, factor, n):
+        A = with_norm(np.random.default_rng(n).standard_normal((n, n)), theta * factor)
+        assert rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-11
+
+    @pytest.mark.parametrize("theta", SCALING_BOUNDARIES)
+    @pytest.mark.parametrize("factor", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_matches_scipy_at_each_scaling_boundary(self, theta, factor, n):
         A = with_norm(np.random.default_rng(n).standard_normal((n, n)), theta * factor)
         assert rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-11
 
