@@ -70,13 +70,18 @@ _PARAMS = {
     "half-line-shift": {},
 }
 EXAMPLES = tuple(_PARAMS)
-# The most time points `simulate` evaluates, horizon/dt + 1, each evolved from
-# t = 0; also the most signal evaluations `certify` makes over its samples.
-_GRID_LIMIT = 1_000_000
-# The most segment energies `worst-case` integrates, family size x
-# (max_switches + 1); at 0.3-0.4 ms each on a 2-vCPU host, about 8 s.  A two-mode,
-# one-dwell family is accepted at depth 9 (20,460) and refused at depth 10 (45,034).
+# Work limits for `_bound`, each sized on a 2-vCPU host so that the slowest
+# accepted run takes about 8 s.  simulate: each point is evolved from t = 0
+# through every piece before it, at 1.7-8.6 us a piece (transport is slowest).
+_SIMULATE_LIMIT = 1_000_000
+# certify: a norm per time point and 1 + 17 x modes values of V per sample and
+# family signal; its count keeps 18 x modes so the same configs are refused.
+_CERTIFY_LIMIT = 1_000_000
+# worst_case: a segment energy a piece, 0.3-0.4 ms; a two-mode, one-dwell family
+# is accepted at depth 9 (20,460) and refused at depth 10 (45,034).
 _WORST_CASE_LIMIT = 25_000
+# gram: an operator step a piece, 0.13 ms when every candidate is a tail alone.
+_GRAM_LIMIT = 60_000
 # certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
 # slope needs two points of it.
 _CERTIFY_MIN_HORIZON = 0.5
@@ -170,31 +175,14 @@ def _family(obj, system):
     return fam
 
 
-def _certify_cost(errors, system, family, n_samples, horizon):
-    """Bound the signal evaluations of ``certify``: per sample and family
-    signal, a norm at each of horizon/0.25 time points and at most 1 + 18 per
-    mode for the condition report (it makes 1 + 17).  The family size is an
-    upper bound, since certify scans only the family's distinct trajectories;
-    the bound is kept so the same configs are refused.  The largest factor
-    names the field to blame."""
-    cap = _GRID_LIMIT + 1  # keeps the product small; one factor above the limit exceeds it
-    factors = {
-        "n_samples": min(n_samples, cap),
-        "family": min(family_size(family), cap),
-        "horizon": math.floor(min(horizon / 0.25, cap)) + 1 + 18 * system.n_modes,
-    }
-    if math.prod(factors.values()) > _GRID_LIMIT:
-        blame = max(factors, key=factors.get)
-        errors.append(f"{blame}: certify would evaluate n_samples x family size x "
-                      f"(horizon/0.25 + 1 + 18 x modes) signals, more than {_GRID_LIMIT:,}")
-
-
-def _worst_case_cost(errors, family):
-    """Bound the segment energies of ``worst-case``: at most max_switches + 1
-    for each family signal."""
-    if family_size(family) * (family.max_switches + 1) > _WORST_CASE_LIMIT:
-        errors.append("family: worst_case would integrate family size x (max_switches + 1) "
-                      f"segment energies, more than {_WORST_CASE_LIMIT:,}")
+def _bound(errors, limit, what, factors):
+    """Refuse a task whose work, the product of ``factors`` (field path ->
+    count), exceeds ``limit``, blaming the largest factor's field.  Each factor
+    is capped just past the limit, so a huge one keeps the product small."""
+    capped = {path: min(count, limit + 1) for path, count in factors.items()}
+    if math.prod(capped.values()) > limit:
+        blame = max(capped, key=capped.get)
+        errors.append(f"{blame}: {what}, more than {limit:,}")
 
 
 def _sampler(system):
@@ -266,8 +254,11 @@ def validate_config(raw, overrides=None):
     if task == "simulate":
         signal = _field(errors, raw, "signal", True, _signal, system)
         horizon, dt = scalars["horizon"], scalars["dt"]  # positive, or None on error
-        if horizon and dt and horizon / dt + 1 > _GRID_LIMIT:
-            errors.append(f"dt: horizon/dt + 1 time points exceed {_GRID_LIMIT:,}")
+        if signal and horizon and dt:
+            # stepping the grid forward (ROADMAP item 5) makes this points + segments
+            _bound(errors, _SIMULATE_LIMIT, "simulate would evolve (horizon/dt + 1) "
+                   "time points through (segments + 1) pieces each",
+                   {"dt": horizon / dt + 1, "signal.segments": len(signal.segments) + 1})
     state = _field(errors, raw, "state", task in ("simulate", "worst_case"),
                    _gram_state if task == "gram" else _state, system)
     if system is not None:
@@ -279,13 +270,16 @@ def validate_config(raw, overrides=None):
                 errors.append(f"horizon: certify needs at least {_CERTIFY_MIN_HORIZON}, "
                               "two points of its 0.25 time grid to fit a rate")
             elif family and n_samples and horizon:
-                _certify_cost(errors, system, family, n_samples, horizon)
-        elif task == "worst_case" and family:
-            _worst_case_cost(errors, family)
+                _bound(errors, _CERTIFY_LIMIT, "certify would evaluate n_samples x family size "
+                       "x (horizon/0.25 + 1 + 18 x modes) signals",
+                       {"n_samples": n_samples, "family": family_size(family),
+                        "horizon": horizon // 0.25 + 1 + 18 * system.n_modes})
         elif task == "gram":
             _parse(errors, "system.modes", _system_dim, system)
-            if family:
-                _parse(errors, "family", enumerate_family, family)
+        if task in ("worst_case", "gram") and family:
+            _bound(errors, _WORST_CASE_LIMIT if task == "worst_case" else _GRAM_LIMIT,
+                   f"{task} would walk family size x (max_switches + 1) signal pieces",
+                   {"family": family_size(family), "family.max_switches": family.max_switches + 1})
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")

@@ -58,6 +58,18 @@ def half_line_config(p):
             "state": {"domain": [0.0, 1.0], "breaks": [], "values": [1e300]}}
 
 
+NON_DIAGONAL = {
+    "modes": [
+        {"kind": "matrix", "A": [[-1.0, 0.5], [0.0, -2.0]]},
+        {"kind": "matrix", "A": [[-2.0, 0.0], [0.3, -1.0]]},
+    ]
+}
+# 500,001 time points through 2,000 segments: about 30 minutes
+HOUR_LONG_SIMULATE = pair_config(
+    system=NON_DIAGONAL, horizon=5.0, dt=1e-5,
+    signal={"segments": [[i % 2, 0.0025] for i in range(2000)], "tail": 0})
+
+
 # (id, argv, config document, exit code, stderr prefix)
 PROBES = [
     ("modes-not-a-list", ["worst-case"], {"system": {"modes": 5}, "state": UNIT}, 2,
@@ -188,8 +200,13 @@ PROBES = [
     ("worst-case-family-past-enumeration", ["worst-case"],
      pair_config(family={"dwells": [0.5], "max_switches": 18}), 2, "family: worst_case"),
     ("gram-family-past-enumeration", ["gram"],
-     pair_config(family={"dwells": [0.5], "max_switches": 18}), 2,
-     "family: family enumerates 1048574 signals"),
+     pair_config(family={"dwells": [0.5], "max_switches": 18}), 2, "family: gram"),
+    # simulate's and gram's work is bounded too: each of these ran for an hour
+    # or more (extrapolated)
+    ("simulate-long-signal-fine-grid", ["simulate"], HOUR_LONG_SIMULATE, 2, "dt: simulate"),
+    ("gram-family-over-the-limit", ["gram"],
+     pair_config(system=NON_DIAGONAL, family={"dwells": [0.5], "max_switches": 11}), 2,
+     "family: gram"),
     # gram needs a matrix mode, which no transport or scalar system has
     ("gram-transport-system", ["gram"], shift_config(), 2,
      "system.modes: Gram operators need at least one matrix mode"),
@@ -276,9 +293,9 @@ def test_numeric_strings_are_rejected_only_where_numbers_belong():
 
 
 def test_simulate_grid_bound_sits_at_the_limit():
-    base = {**BASES["simulate"], "horizon": 1.0}
-    assert validate_config({**base, "dt": 1.0 / 999_998})[1] == []
-    assert validate_config({**base, "dt": 1.0 / 1_000_000})[1][0].startswith("dt: ")
+    base = {**BASES["simulate"], "horizon": 1.0}  # 2 segments: 3 pieces a point
+    assert validate_config({**base, "dt": 1.0 / 333_332})[1] == []  # 333,333 x 3
+    assert validate_config({**base, "dt": 1.0 / 333_333})[1][0].startswith("dt: ")
     # dt is used by simulate only
     assert validate_config({**BASES["certify"], "dt": 1e-12})[1] == []
 
@@ -322,6 +339,54 @@ def test_worst_case_cost_bound_sits_at_the_limit():
     assert time.perf_counter() - t0 < 1.0
     # the benchmark's transport-search shape: 5 modes, 2 dwells, depth 2 is 555 x 3
     assert validate_config(family(5, [0.0625, 0.25], 2))[1] == []
+
+
+def test_simulate_segment_bound_sits_at_the_limit():
+    def signal(n):
+        return {**BASES["simulate"], "horizon": 1.0, "dt": 0.01,
+                "signal": {"segments": [[i % 2, 0.5] for i in range(n)], "tail": 0}}
+
+    # 101 points through n + 1 pieces each
+    assert validate_config(signal(9_899))[1] == []  # 101 x 9,900 = 999,900
+    error = validate_config(signal(9_900))[1]  # 101 x 9,901 = 1,000,001
+    assert len(error) == 1 and error[0].startswith("signal.segments: simulate")
+    # the benchmark's transport-simulate shape: 385 points x 97 pieces
+    doc = {**BASES["simulate"], "horizon": 1.5, "dt": 0.00390625,
+           "signal": {"segments": [[i % 2, 0.015625] for i in range(96)], "tail": 0}}
+    assert validate_config(doc)[1] == []
+
+
+def test_gram_cost_bound_sits_at_the_limit():
+    def family(n_modes, dwells, k):
+        return {"task": "gram", "system": {"modes": [NON_DIAGONAL["modes"][0]] * n_modes},
+                "state": UNIT, "family": {"dwells": dwells, "max_switches": k}}
+
+    # one mode, one dwell: k + 1 candidates of up to k + 1 pieces
+    assert validate_config(family(1, [0.5], 243))[1] == []  # 244 x 244 = 59,536
+    assert validate_config(family(1, [0.5], 244))[1][0].startswith("family: gram")
+    # two modes, one dwell: 2 (2^(k+1) - 1) candidates
+    assert validate_config(family(2, [0.5], 10))[1] == []  # 4,094 x 11 = 45,034
+    assert validate_config(family(2, [0.5], 11))[1][0].startswith("family: gram")
+    # a family past enumeration is refused without enumerating it
+    t0 = time.perf_counter()
+    assert validate_config(family(2, [0.5], 18))[1][0].startswith("family: gram")
+    assert time.perf_counter() - t0 < 1.0
+    # the benchmark's gram-deep shape: 2 modes, 4 dwells, depth 3 is 1,170 x 4
+    assert validate_config(family(2, [0.25, 0.5, 0.75, 1.0], 3))[1] == []
+
+
+@pytest.mark.parametrize("probe", ["simulate-long-signal-fine-grid",
+                                   "gram-family-over-the-limit"])
+def test_hour_long_runs_are_refused_in_under_a_second(tmp_path, capsys, monkeypatch, probe):
+    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+    argv, doc, code, prefix = next(p[1:] for p in PROBES if p[0] == probe)
+    path = write_config(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_certify_horizon_minimum_is_two_grid_points():
