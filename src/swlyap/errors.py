@@ -1,14 +1,16 @@
 """Exception types shared across the package, and the field checks of its JSON
-readers.  A reader's error starts with the path of the field at fault within the
-object read, as in ``segments[1].dwell: ...``; a boolean is never a number."""
+readers and constructors.  A reader's error starts with the path of the field at
+fault within the object read, as in ``segments[1].dwell: ...``; a boolean is
+never a number, and a numpy scalar is one of its Python kind."""
 
 import re
+from numbers import Integral, Real
 
 __all__ = [
     "SwlyapError", "StructuralError", "InvalidStateError", "ContractViolation",
     "UnsupportedOperation", "FamilySizeError", "EstimationError", "UnstableTailError",
     "DegenerateInputError", "under", "read_at", "json_object", "json_number",
-    "json_integer", "json_list",
+    "json_integer", "json_list", "read_each",
 ]
 
 
@@ -85,8 +87,8 @@ def json_object(value, need: str, *keys) -> dict:
 
 
 def json_number(value, path: str) -> float:
-    """``value`` as a float when it is a JSON number within the double range."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """``value`` as a float when it is a real number within the double range."""
+    if isinstance(value, Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:  # an integer past the double range
@@ -96,10 +98,9 @@ def json_number(value, path: str) -> float:
 
 def json_integer(value, path: str) -> int:
     """``value`` as an int; an integral float such as ``5.0`` counts."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    if isinstance(value, Real) and not isinstance(value, bool):
+        if isinstance(value, Integral) or float(value).is_integer():
+            return int(value)
     raise StructuralError(f"{path}: must be an integer")
 
 
@@ -108,3 +109,16 @@ def json_list(value, path: str, read, need: str, length: int | None = None) -> l
     if not isinstance(value, list) or length is not None and len(value) != length:
         raise StructuralError(f"{path}: must be {need}")
     return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def read_each(values, path: str, read) -> tuple:
+    """``read(item, item_path)`` for each item of the sequence ``values``; a
+    string, a mapping or a value that is not iterable is refused at ``path``."""
+    if not isinstance(values, (str, bytes, dict)):
+        try:
+            items = iter(values)
+        except TypeError:
+            pass
+        else:
+            return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(items))
+    raise StructuralError(f"{path}: must be a sequence")

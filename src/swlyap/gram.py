@@ -30,9 +30,10 @@ from .errors import (
     StructuralError,
     UnstableTailError,
     UnsupportedOperation,
+    json_number,
 )
 from .semigroups import DiagonalGroupMode, MatrixMode, expm
-from .state_space import euclidean_state
+from .state_space import euclidean_state, real_array
 from .switching import SignalFamily, SwitchedSystem, SwitchingSignal, enumerate_family
 
 __all__ = [
@@ -55,9 +56,10 @@ _MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving u
 
 def _square(M, name: str) -> np.ndarray:
     """``M`` as a nonempty square float matrix with finite entries."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    need = f"{name} must be a nonempty square matrix of numbers"
+    M = np.atleast_2d(real_array(M, need))
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        raise StructuralError(f"{name} must be a nonempty square matrix")
+        raise StructuralError(need)
     if not np.isfinite(M).all():
         raise StructuralError(f"{name} must have finite entries")
     return M
@@ -139,6 +141,7 @@ def lyapunov_solve(A, Q) -> np.ndarray:
 
 def segment_energy(A, d: float) -> np.ndarray:
     """Finite-segment energy integral(0, d) e^{A' t} e^{A t} dt."""
+    d = json_number(d, "d")
     if not (d > 0 and math.isfinite(d)):
         raise ContractViolation("segment length must be positive and finite")
     A = _square(A, "A")

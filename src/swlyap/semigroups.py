@@ -38,6 +38,7 @@ from .errors import (
     json_list,
     json_number,
     json_object,
+    read_each,
 )
 from .state_space import PiecewiseConstantFn, canonicalize
 
@@ -65,7 +66,7 @@ class MatrixMode:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in r) for r in self.rows)
+        rows = read_each(self.rows, "A", lambda r, path: read_each(r, path, json_number))
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -99,8 +100,8 @@ class MatrixMode:
 
 
 def matrix_mode(A) -> MatrixMode:
-    a = np.atleast_2d(np.asarray(A, dtype=float))
-    return MatrixMode(tuple(tuple(row) for row in a))
+    """The mode x' = Ax of a square matrix given as nested sequences or an array."""
+    return MatrixMode(A)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class ShiftAmplifyMode:
 
     def __post_init__(self):
         for name in ("domain_lo", "domain_hi", "amplify_lo", "amplify_hi", "factor"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, json_number(getattr(self, name), name))
         if self.direction not in ("left", "right"):
             raise StructuralError("direction: must be 'left' or 'right'")
         if not self.domain_lo < self.domain_hi:
@@ -150,7 +151,7 @@ class DiagonalGroupMode:
     mu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", json_number(self.mu, "mu"))
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise StructuralError("mu: must be positive and finite")
 

@@ -20,7 +20,14 @@ from operator import le
 
 import numpy as np
 
-from .errors import InvalidStateError, StructuralError, json_list, json_number, json_object
+from .errors import (
+    InvalidStateError,
+    StructuralError,
+    json_list,
+    json_number,
+    json_object,
+    read_each,
+)
 
 __all__ = [
     "PiecewiseConstantFn",
@@ -77,10 +84,10 @@ class PiecewiseConstantFn:
     values: tuple = (0.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain_lo", float(self.domain_lo))
-        object.__setattr__(self, "domain_hi", float(self.domain_hi))
-        object.__setattr__(self, "breaks", tuple(map(float, self.breaks)))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "domain_lo", json_number(self.domain_lo, "domain[0]"))
+        object.__setattr__(self, "domain_hi", json_number(self.domain_hi, "domain[1]"))
+        object.__setattr__(self, "breaks", read_each(self.breaks, "breaks", json_number))
+        object.__setattr__(self, "values", read_each(self.values, "values", json_number))
         _check_structure(self.domain_lo, self.domain_hi, self.breaks, self.values)
 
     # -- constructors ---------------------------------------------------
@@ -178,7 +185,7 @@ class NormSpec:
     kind: str = "lp"
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", json_number(self.p, "p"))
         if self.kind not in ("lp", "euclidean"):
             raise StructuralError("kind: must be 'lp' or 'euclidean'")
         if self.kind == "lp" and not (math.isfinite(self.p) and self.p >= 1.0):
@@ -252,11 +259,24 @@ def lp_norm(f: PiecewiseConstantFn, spec: NormSpec) -> float:
     return total ** (1.0 / p)
 
 
+def real_array(value, need: str) -> np.ndarray:
+    """``value`` as a float array when it holds real numbers only (not booleans,
+    complex numbers, strings or a ragged nesting); else ``StructuralError(need)``."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged nesting
+        raise StructuralError(need) from None
+    if a.dtype.kind not in "iuf":
+        raise StructuralError(need)
+    return a.astype(float, copy=False)
+
+
 def euclidean_state(coords) -> np.ndarray:
     """Validate and normalize a coordinate state to a float 1-D array."""
-    x = np.asarray(coords, dtype=float)
+    need = "coords: must be a nonempty 1-D vector of numbers"
+    x = real_array(coords, need)
     if x.ndim != 1 or x.size < 1:
-        raise StructuralError("coordinate state must be a nonempty 1-D vector")
+        raise StructuralError(need)
     if not np.all(np.isfinite(x)):
         raise InvalidStateError("coordinate state has non-finite entries")
     return x

@@ -34,6 +34,8 @@ from .errors import (
     json_number,
     json_object,
     read_at,
+    read_each,
+    under,
 )
 from .semigroups import MatrixMode, apply, mode_from_json, mode_state_kind
 from .state_space import NormSpec, state_norm
@@ -63,16 +65,18 @@ class SwitchingSignal:
     tail_mode: int = 0
 
     def __post_init__(self):
-        segs = tuple((int(m), float(d)) for m, d in self.segments)
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "tail_mode", int(self.tail_mode))
-        for i, (m, d) in enumerate(segs):
-            if m < 0:
-                raise StructuralError(f"segments[{i}].mode: must be nonnegative")
-            if not (d > 0 and math.isfinite(d)):
-                raise StructuralError(f"segments[{i}].dwell: must be strictly positive")
-        if self.tail_mode < 0:
-            raise StructuralError("tail: must be nonnegative")
+        try:
+            items = enumerate(self.segments)
+        except TypeError:
+            raise StructuralError("segments: must be a sequence of (mode, dwell) pairs") from None
+        segs = []
+        for i, seg in items:
+            try:
+                segs.append(_checked_segment(seg))
+            except StructuralError as exc:  # the path is formed only on failure
+                raise StructuralError(under(f"segments[{i}]", str(exc))) from None
+        object.__setattr__(self, "segments", tuple(segs))
+        object.__setattr__(self, "tail_mode", _mode_id(self.tail_mode, "tail"))
 
     def active_mode(self, t: float) -> int:
         """Mode active at time t (right-continuous)."""
@@ -97,6 +101,29 @@ class SwitchingSignal:
         obj = json_object(obj, "an object with 'segments' and 'tail'", "segments", "tail")
         segs = json_list(obj["segments"], "segments", _segment, "a list of [mode, dwell] pairs")
         return cls(tuple(segs), json_integer(obj["tail"], "tail"))
+
+
+def _mode_id(value, path: str) -> int:
+    """A nonnegative mode id; an int passes without the type check."""
+    if type(value) is not int:
+        value = json_integer(value, path)
+    if value < 0:
+        raise StructuralError(f"{path}: must be nonnegative")
+    return value
+
+
+def _checked_segment(seg) -> tuple:
+    """A (mode, dwell) pair as (int, float), with a positive finite dwell."""
+    try:
+        m, d = seg
+    except (TypeError, ValueError):
+        raise StructuralError("must be a (mode, dwell) pair") from None
+    m = _mode_id(m, "mode")
+    if type(d) is not float:
+        d = json_number(d, "dwell")
+    if not (d > 0 and math.isfinite(d)):
+        raise StructuralError("dwell: must be strictly positive")
+    return m, d
 
 
 def _segment(value, path):
@@ -226,17 +253,17 @@ class SignalFamily:
     mode_ids: tuple
 
     def __post_init__(self):
-        grid = tuple(sorted(float(d) for d in self.dwell_grid))
+        grid = tuple(sorted(read_each(self.dwell_grid, "dwells", json_number)))
         object.__setattr__(self, "dwell_grid", grid)
-        object.__setattr__(self, "max_switches", int(self.max_switches))
-        object.__setattr__(self, "mode_ids", tuple(int(m) for m in self.mode_ids))
+        object.__setattr__(self, "max_switches", json_integer(self.max_switches, "max_switches"))
+        object.__setattr__(self, "mode_ids", read_each(self.mode_ids, "modes", _mode_id))
         if not grid or any(d <= 0 or not math.isfinite(d) for d in grid):
-            raise StructuralError("dwell grid must be nonempty with positive entries")
+            raise StructuralError("dwells: must be nonempty with positive entries")
         if not 0 <= self.max_switches <= _ENUMERATION_LIMIT:
             # a deeper family has more than one signal per depth over the limit
-            raise StructuralError(f"max_switches must lie in [0, {_ENUMERATION_LIMIT}]")
-        if not self.mode_ids or any(m < 0 for m in self.mode_ids):
-            raise StructuralError("mode id set must be nonempty and nonnegative")
+            raise StructuralError(f"max_switches: must lie in [0, {_ENUMERATION_LIMIT}]")
+        if not self.mode_ids:
+            raise StructuralError("modes: must be nonempty")
 
     @classmethod
     def default(cls, n_modes: int) -> "SignalFamily":

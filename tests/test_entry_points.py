@@ -1,6 +1,8 @@
 """The public gram and lyapunov entry points refuse malformed input with a
 library error: a non-finite or wrong-length array, or a non-finite scalar,
-raises a SwlyapError, never a numpy error, a warning or a NaN result."""
+raises a SwlyapError, never a numpy error, a warning or a NaN result.  The
+public constructors refuse an ill-typed field with a StructuralError at its
+path, and never truncate a mode id."""
 
 import math
 import warnings
@@ -11,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swlyap import (
+    DiagonalGroupMode,
+    NormSpec,
+    PiecewiseConstantFn,
+    ShiftAmplifyMode,
     SignalFamily,
+    StructuralError,
     SwitchingSignal,
     SwlyapError,
     argmax_set,
@@ -23,6 +30,7 @@ from swlyap import (
     family_max,
     generalized_derivative,
     lyapunov_solve,
+    matrix_mode,
     segment_energy,
     trajectory_cost,
     v_max,
@@ -133,3 +141,108 @@ def test_bad_matrices_raise_library_errors(name, M):
 @given(s=NON_FINITE)
 def test_non_finite_scalars_raise_library_errors(name, s):
     assert_library_error(SCALAR_CALLS[name], s)
+
+
+# -- constructors ---------------------------------------------------------------
+
+# What no constructor takes as a mode id: not a number, a boolean, or a number
+# that is not a nonnegative integer.
+BAD_IDS = st.sampled_from([1j, "1", None, [0], True, False, np.bool_(True), math.nan,
+                           math.inf, -math.inf, 0.5, 2.5, -1, -1.0])
+# What no constructor takes as a number.  A boolean is refused where one scalar
+# is read; inside an array numpy reads it as 0 or 1, as it does everywhere.
+NOT_NUMBERS = st.sampled_from([1j, np.complex128(1j), "1", "x", None, [1.0]])
+NOT_SCALARS = NOT_NUMBERS | st.sampled_from([True, np.bool_(False)])
+RAGGED_MATRICES = st.sampled_from([[[-1.0, 0.0], [0.0]], [[-1.0], [0.0, -1.0]], [[-1.0], -1.0],
+                                   [], [[]]])
+ILL_TYPED_MATRICES = RAGGED_MATRICES | NOT_NUMBERS.map(lambda v: [[-1.0, v], [0.0, -1.0]])
+ILL_TYPED_VECTORS = (st.sampled_from([[[1.0], [2.0, 3.0]], [1.0, [2.0]], []])
+                     | NOT_NUMBERS.map(lambda v: [1.0, v]))
+
+ID_CALLS = {
+    "SwitchingSignal segment mode": lambda v: SwitchingSignal(((v, 0.5),), 0),
+    "SwitchingSignal tail": lambda v: SwitchingSignal(((0, 0.5),), v),
+    "SignalFamily max_switches": lambda v: SignalFamily((0.5,), v, (0,)),
+    "SignalFamily mode id": lambda v: SignalFamily((0.5,), 1, (0, v)),
+}
+
+SCALAR_ARGS = {
+    "SwitchingSignal dwell": lambda v: SwitchingSignal(((0, v),), 0),
+    "SignalFamily dwell": lambda v: SignalFamily((0.5, v), 1, (0,)),
+    "DiagonalGroupMode mu": DiagonalGroupMode,
+    "ShiftAmplifyMode factor": lambda v: ShiftAmplifyMode(0.0, 1.0, "left", 0.0, 0.5, v),
+    "NormSpec p": NormSpec,
+    "PiecewiseConstantFn break": lambda v: PiecewiseConstantFn(0.0, 1.0, (v,), (1.0, 2.0)),
+    "segment_energy d": lambda v: segment_energy([[-1.0]], v),
+}
+
+MATRIX_ARGS = {
+    "matrix_mode": matrix_mode,
+    "segment_energy": lambda M: segment_energy(M, 1.0),
+    "lyapunov_solve A": lambda M: lyapunov_solve(M, [[1.0]]),
+    "lyapunov_solve Q": lambda M: lyapunov_solve([[-1.0]], M),
+}
+
+
+def assert_structural_error(call, arg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError):
+            call(arg)
+
+
+@pytest.mark.parametrize("name", sorted(ID_CALLS))
+@SETTINGS
+@given(v=BAD_IDS)
+def test_bad_mode_ids_raise_structural_errors(name, v):
+    assert_structural_error(ID_CALLS[name], v)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ARGS))
+@SETTINGS
+@given(v=NOT_SCALARS)
+def test_ill_typed_scalars_raise_structural_errors(name, v):
+    assert_structural_error(SCALAR_ARGS[name], v)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_ARGS))
+@SETTINGS
+@given(M=ILL_TYPED_MATRICES)
+def test_ill_typed_matrices_raise_structural_errors(name, M):
+    assert_structural_error(MATRIX_ARGS[name], M)
+
+
+@SETTINGS
+@given(x=ILL_TYPED_VECTORS)
+def test_ill_typed_vectors_raise_structural_errors(x):
+    assert_structural_error(euclidean_state, x)
+
+
+def test_structural_errors_name_the_field():
+    cases = [
+        (lambda: SwitchingSignal(((0, 0.5), (0.5, 1.0)), 0), "segments[1].mode: "),
+        (lambda: SwitchingSignal(((0, 0.5), (1, 1j)), 0), "segments[1].dwell: "),
+        (lambda: SwitchingSignal(((0, 0.5, 1),), 0), "segments[0]: "),
+        (lambda: SwitchingSignal((), math.nan), "tail: "),
+        (lambda: SignalFamily((0.5,), math.inf, (0,)), "max_switches: "),
+        (lambda: SignalFamily((0.5,), 1, (0, math.nan)), "modes[1]: "),
+        (lambda: SignalFamily((0.5, "x"), 1, (0,)), "dwells[1]: "),
+        (lambda: matrix_mode([[-1.0, 0.0], [1j, -1.0]]), "A[1][0]: "),
+        (lambda: DiagonalGroupMode("x"), "mu: "),
+    ]
+    for call, prefix in cases:
+        with pytest.raises(StructuralError) as exc:
+            call()
+        assert str(exc.value).startswith(prefix), exc.value
+
+
+@pytest.mark.parametrize("one", [1, 1.0, np.int64(1), np.int32(1), np.float64(1.0),
+                                 np.float32(1.0)], ids=repr)
+def test_integral_and_numpy_ids_are_ids(one):
+    sig = SwitchingSignal(((one, 0.5), (0, np.float32(0.25))), one)
+    assert sig == SwitchingSignal(((1, 0.5), (0, 0.25)), 1)
+    assert all(type(m) is int and type(d) is float for m, d in sig.segments)
+    assert type(sig.tail_mode) is int
+    fam = SignalFamily((np.float64(0.5),), one, (0, one))
+    assert fam == SignalFamily((0.5,), 1, (0, 1))
+    assert tuple(enumerate_family(fam)) == tuple(enumerate_family(SignalFamily((0.5,), 1, (0, 1))))
