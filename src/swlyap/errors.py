@@ -10,7 +10,7 @@ __all__ = [
     "SwlyapError", "StructuralError", "InvalidStateError", "ContractViolation",
     "UnsupportedOperation", "FamilySizeError", "EstimationError", "UnstableTailError",
     "DegenerateInputError", "under", "read_at", "json_object", "json_number",
-    "json_integer", "json_list", "read_each",
+    "json_integer", "json_list",
 ]
 
 
@@ -105,20 +105,13 @@ def json_integer(value, path: str) -> int:
 
 
 def json_list(value, path: str, read, need: str, length: int | None = None) -> list:
-    """Each item of the JSON list ``value`` through ``read(item, item_path)``."""
-    if not isinstance(value, list) or length is not None and len(value) != length:
+    """Each item of the list ``value`` through ``read(item, item_path)``.  Any
+    other sequence, such as a tuple or an array, counts; a string or a mapping
+    does not."""
+    try:
+        items = None if isinstance(value, (str, bytes, dict)) else list(value)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or length is not None and len(items) != length:
         raise StructuralError(f"{path}: must be {need}")
-    return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
-
-
-def read_each(values, path: str, read) -> tuple:
-    """``read(item, item_path)`` for each item of the sequence ``values``; a
-    string, a mapping or a value that is not iterable is refused at ``path``."""
-    if not isinstance(values, (str, bytes, dict)):
-        try:
-            items = iter(values)
-        except TypeError:
-            pass
-        else:
-            return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(items))
-    raise StructuralError(f"{path}: must be a sequence")
+    return [read(item, f"{path}[{i}]") for i, item in enumerate(items)]

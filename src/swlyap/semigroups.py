@@ -38,7 +38,6 @@ from .errors import (
     json_list,
     json_number,
     json_object,
-    read_each,
 )
 from .state_space import PiecewiseConstantFn, canonicalize
 
@@ -66,7 +65,7 @@ class MatrixMode:
     rows: tuple
 
     def __post_init__(self):
-        rows = read_each(self.rows, "A", lambda r, path: read_each(r, path, json_number))
+        rows = tuple(map(tuple, json_list(self.rows, "A", _row, "a list of rows of numbers")))
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -362,16 +361,14 @@ def mode_from_json(obj: dict):
     need = "an object with a 'kind'"
     kind = json_object(obj, need, "kind")["kind"]
     if kind == "matrix":
-        A = json_object(obj, need, "A")["A"]
-        return MatrixMode(tuple(json_list(A, "A", _row, "a list of rows of numbers")))
+        return MatrixMode(json_object(obj, need, "A")["A"])
     if kind == "shift_amplify":
         json_object(obj, need, "domain", "direction", "amplify", "factor")
         lo, hi = _interval(obj["domain"], "domain")
         alo, ahi = _interval(obj["amplify"], "amplify")
-        factor = json_number(obj["factor"], "factor")
-        return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, factor)
+        return ShiftAmplifyMode(lo, hi, obj["direction"], alo, ahi, obj["factor"])
     if kind == "diagonal_group":
-        return DiagonalGroupMode(json_number(json_object(obj, need, "mu")["mu"], "mu"))
+        return DiagonalGroupMode(json_object(obj, need, "mu")["mu"])
     if kind == "half_line_shift":
         return HalfLineShiftMode()
     raise StructuralError(f"unknown mode kind {kind!r}")

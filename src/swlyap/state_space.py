@@ -26,7 +26,6 @@ from .errors import (
     json_list,
     json_number,
     json_object,
-    read_each,
 )
 
 __all__ = [
@@ -86,8 +85,9 @@ class PiecewiseConstantFn:
     def __post_init__(self):
         object.__setattr__(self, "domain_lo", json_number(self.domain_lo, "domain[0]"))
         object.__setattr__(self, "domain_hi", json_number(self.domain_hi, "domain[1]"))
-        object.__setattr__(self, "breaks", read_each(self.breaks, "breaks", json_number))
-        object.__setattr__(self, "values", read_each(self.values, "values", json_number))
+        for key in ("breaks", "values"):
+            items = json_list(getattr(self, key), key, json_number, "a list of numbers")
+            object.__setattr__(self, key, tuple(items))
         _check_structure(self.domain_lo, self.domain_hi, self.breaks, self.values)
 
     # -- constructors ---------------------------------------------------
@@ -168,9 +168,7 @@ class PiecewiseConstantFn:
         obj = json_object(obj, "an object with 'domain', 'breaks' and 'values'",
                           "domain", "breaks", "values")
         lo, hi = json_list(obj["domain"], "domain", json_number, "a [lo, hi] pair of numbers", 2)
-        breaks, values = (json_list(obj[key], key, json_number, "a list of numbers")
-                          for key in ("breaks", "values"))
-        return cls(lo, hi, tuple(breaks), tuple(values))
+        return cls(lo, hi, obj["breaks"], obj["values"])
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ class NormSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "NormSpec":
         obj = json_object(obj, "an object with 'kind' and 'p'")
-        return cls(json_number(obj.get("p", 2.0), "p"), obj.get("kind", "lp"))
+        return cls(obj.get("p", 2.0), obj.get("kind", "lp"))
 
 
 def canonicalize(f: PiecewiseConstantFn) -> PiecewiseConstantFn:

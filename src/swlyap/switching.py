@@ -34,7 +34,6 @@ from .errors import (
     json_number,
     json_object,
     read_at,
-    read_each,
     under,
 )
 from .semigroups import MatrixMode, apply, mode_from_json, mode_state_kind
@@ -253,10 +252,11 @@ class SignalFamily:
     mode_ids: tuple
 
     def __post_init__(self):
-        grid = tuple(sorted(read_each(self.dwell_grid, "dwells", json_number)))
+        grid = tuple(sorted(json_list(self.dwell_grid, "dwells", json_number, "a list of numbers")))
         object.__setattr__(self, "dwell_grid", grid)
         object.__setattr__(self, "max_switches", json_integer(self.max_switches, "max_switches"))
-        object.__setattr__(self, "mode_ids", read_each(self.mode_ids, "modes", _mode_id))
+        modes = json_list(self.mode_ids, "modes", _mode_id, "a list of integer mode ids")
+        object.__setattr__(self, "mode_ids", tuple(modes))
         if not grid or any(d <= 0 or not math.isfinite(d) for d in grid):
             raise StructuralError("dwells: must be nonempty with positive entries")
         if not 0 <= self.max_switches <= _ENUMERATION_LIMIT:
@@ -274,13 +274,9 @@ class SignalFamily:
         """The family of ``obj``'s fields; a missing one, or a null ``obj``, takes
         the default, with every one of ``n_modes`` modes."""
         obj = json_object({} if obj is None else obj, "an object or null")
-        dwells = obj.get("dwells", list(DEFAULT_DWELL_GRID))
-        modes = obj.get("modes", list(range(n_modes)))
-        return cls(
-            tuple(json_list(dwells, "dwells", json_number, "a list of numbers")),
-            json_integer(obj.get("max_switches", DEFAULT_MAX_SWITCHES), "max_switches"),
-            tuple(json_list(modes, "modes", json_integer, "a list of integer mode ids")),
-        )
+        return cls(obj.get("dwells", DEFAULT_DWELL_GRID),
+                   obj.get("max_switches", DEFAULT_MAX_SWITCHES),
+                   obj.get("modes", range(n_modes)))
 
 
 def family_size(fam: SignalFamily) -> int:
