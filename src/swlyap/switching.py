@@ -69,11 +69,18 @@ class SwitchingSignal:
         except TypeError:
             raise StructuralError("segments: must be a sequence of (mode, dwell) pairs") from None
         segs = []
-        for i, seg in items:
+        for i, seg in items:  # an int id and a positive float dwell skip the checks' calls
             try:
-                segs.append(_checked_segment(seg))
+                m, d = seg
+                if type(m) is not int or m < 0:
+                    m = _mode_id(m, "mode")
+                if type(d) is not float or not 0.0 < d < math.inf:
+                    d = _dwell(d)
             except StructuralError as exc:  # the path is formed only on failure
                 raise StructuralError(under(f"segments[{i}]", str(exc))) from None
+            except (TypeError, ValueError):  # not a pair
+                raise StructuralError(f"segments[{i}]: must be a (mode, dwell) pair") from None
+            segs.append((m, d))
         object.__setattr__(self, "segments", tuple(segs))
         object.__setattr__(self, "tail_mode", _mode_id(self.tail_mode, "tail"))
 
@@ -103,7 +110,7 @@ class SwitchingSignal:
 
 
 def _mode_id(value, path: str) -> int:
-    """A nonnegative mode id; an int passes without the type check."""
+    """A nonnegative mode id: an integer, an integral float or a numpy scalar of either."""
     if type(value) is not int:
         value = json_integer(value, path)
     if value < 0:
@@ -111,18 +118,12 @@ def _mode_id(value, path: str) -> int:
     return value
 
 
-def _checked_segment(seg) -> tuple:
-    """A (mode, dwell) pair as (int, float), with a positive finite dwell."""
-    try:
-        m, d = seg
-    except (TypeError, ValueError):
-        raise StructuralError("must be a (mode, dwell) pair") from None
-    m = _mode_id(m, "mode")
-    if type(d) is not float:
-        d = json_number(d, "dwell")
+def _dwell(value) -> float:
+    """A dwell: a finite positive number."""
+    d = json_number(value, "dwell")
     if not (d > 0 and math.isfinite(d)):
         raise StructuralError("dwell: must be strictly positive")
-    return m, d
+    return d
 
 
 def _segment(value, path):
