@@ -75,12 +75,15 @@ EXAMPLES = tuple(_PARAMS)
 # through every piece before it, at 1.7-8.6 us a piece (transport is slowest).
 _SIMULATE_LIMIT = 1_000_000
 # certify: a norm per time point and 1 + 17 x modes values of V per sample and
-# family signal; its count keeps 18 x modes so the same configs are refused.
-_CERTIFY_LIMIT = 1_000_000
+# family signal, 0.05-0.55 ms a unit; a six-mode 2x2 system is the slowest,
+# and the benchmark's pair is accepted up to 28 samples.
+_CERTIFY_LIMIT = 15_000
 # worst_case: a segment energy a piece, 0.3-0.4 ms; a two-mode, one-dwell family
 # is accepted at depth 9 (20,460) and refused at depth 10 (45,034).
 _WORST_CASE_LIMIT = 25_000
-# gram: an operator step a piece, 0.13 ms when every candidate is a tail alone.
+# gram: an operator step a piece, 0.1-0.16 ms when each candidate adds a new
+# dwell, whatever the dimension; dim^2 bounds the entries written, and dim 1
+# is the slowest at the limit.
 _GRAM_LIMIT = 60_000
 # certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
 # slope needs two points of it.
@@ -275,11 +278,15 @@ def validate_config(raw, overrides=None):
                        {"n_samples": n_samples, "family": family_size(family),
                         "horizon": horizon // 0.25 + 1 + 18 * system.n_modes})
         elif task == "gram":
-            _parse(errors, "system.modes", _system_dim, system)
+            dim = _parse(errors, "system.modes", _system_dim, system)
         if task in ("worst_case", "gram") and family:
-            _bound(errors, _WORST_CASE_LIMIT if task == "worst_case" else _GRAM_LIMIT,
-                   f"{task} would walk family size x (max_switches + 1) signal pieces",
-                   {"family": family_size(family), "family.max_switches": family.max_switches + 1})
+            pieces = {"family": family_size(family), "family.max_switches": family.max_switches + 1}
+            if task == "worst_case":
+                _bound(errors, _WORST_CASE_LIMIT,
+                       "worst_case would walk family size x (max_switches + 1) signal pieces", pieces)
+            elif dim:
+                _bound(errors, _GRAM_LIMIT, "gram would walk family size x (max_switches + 1) "
+                       "signal pieces x dim^2 operator entries", {**pieces, "system.modes": dim * dim})
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")

@@ -55,9 +55,10 @@ _MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving u
 
 
 def _square(M, name: str) -> np.ndarray:
-    """``M`` as a nonempty square float matrix with finite entries."""
+    """``M`` as a nonempty square float matrix with finite entries.  A bare
+    number is refused, as ``matrix_mode`` refuses it, not read as 1x1."""
     need = f"{name} must be a nonempty square matrix of numbers"
-    M = np.atleast_2d(real_array(M, need))
+    M = real_array(M, need)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise StructuralError(need)
     if not np.isfinite(M).all():

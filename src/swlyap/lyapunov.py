@@ -81,28 +81,29 @@ def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -
     """integral(0, d) of ||e^{tau A} x||^2 dtau, where ``end`` is e^{dA} x.
 
     Adaptive Simpson to _QUAD_RTOL, relative to the whole-interval estimate,
-    run one level at a time: level j keeps its unfinished intervals (width
-    d / 2^j) as columns of left and midpoint states, and one step exponential
-    e^{A d / 2^(j+2)}, ``mode.exp(0.5 * h)`` for the level's half width h,
-    carries them all to their quarter points.  The budget halves with the
-    interval, which both terminates on dead stretches of a decayed integrand
-    and keeps refinement decisions scale-invariant.  What is still open at
-    level 36 is accepted.  The pieces are summed by fsum, which rounds
-    correctly in any order.  A level that is not finite raises
-    EstimationError: no refinement could converge on it.
+    run one level at a time: level j keeps its k unfinished intervals (width
+    d / 2^j) as one block Y = [left states | midpoint states] of 2k columns,
+    and one product with the step exponential e^{A d / 2^(j+2)},
+    ``mode.exp(0.5 * h)`` for the level's half width h, carries them all to
+    their quarter points.  The budget halves with the interval, which both
+    terminates on dead stretches of a decayed integrand and keeps refinement
+    decisions scale-invariant.  What is still open at level 36 is accepted.
+    The pieces are summed by fsum, which rounds correctly in any order.  A
+    level that is not finite raises EstimationError: no refinement could
+    converge on it.
     """
     pieces = []
     with np.errstate(over="ignore", invalid="ignore"):
         mid = mode.exp(0.5 * d) @ x
-        ya, ym, lo = x[:, None], mid[:, None], np.zeros(1)
+        Y, lo = np.stack((x, mid), axis=1), np.zeros(1)
         fa, fm, fb = np.array([x @ x]), np.array([mid @ mid]), np.array([end @ end])
         whole = d / 6.0 * (fa + 4.0 * fm + fb)
         eps = _QUAD_RTOL * (abs(whole[0]) + 1e-300)
         for level in range(37):
             h = d * 0.5 ** (level + 1)  # half the width of this level's intervals
-            step = mode.exp(0.5 * h)
-            ylm, yrm = step @ ya, step @ ym
-            flm, frm = (ylm * ylm).sum(axis=0), (yrm * yrm).sum(axis=0)
+            Q = mode.exp(0.5 * h) @ Y  # [left quarter points | right quarter points]
+            q2, k = (Q * Q).sum(axis=0), fa.size
+            flm, frm = q2[:k], q2[k:]
             left, right = h / 6.0 * (fa + 4.0 * flm + fm), h / 6.0 * (fm + 4.0 * frm + fb)
             fine = left + right
             bad = ~np.isfinite(fine)
@@ -117,7 +118,8 @@ def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -
             if not go.any():
                 break
             # the left child is (a, lm, m), the right child (m, rm, b)
-            ya, ym = np.hstack((ya[:, go], ym[:, go])), np.hstack((ylm[:, go], yrm[:, go]))
+            go2 = np.concatenate((go, go))
+            Y = np.concatenate((Y[:, go2], Q[:, go2]), axis=1)
             fa, fm, fb, whole, lo = [
                 np.concatenate((u[go], v[go]))
                 for u, v in ((fa, fm), (flm, frm), (fm, fb), (left, right), (lo, lo + h))

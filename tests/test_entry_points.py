@@ -155,7 +155,10 @@ NOT_NUMBERS = st.sampled_from([1j, np.complex128(1j), "1", "x", None, [1.0]])
 NOT_SCALARS = NOT_NUMBERS | st.sampled_from([True, np.bool_(False)])
 RAGGED_MATRICES = st.sampled_from([[[-1.0, 0.0], [0.0]], [[-1.0], [0.0, -1.0]], [[-1.0], -1.0],
                                    [], [[]]])
-ILL_TYPED_MATRICES = RAGGED_MATRICES | NOT_NUMBERS.map(lambda v: [[-1.0, v], [0.0, -1.0]])
+# A bare number is not a 1x1 matrix at any matrix argument.
+BARE_NUMBERS = st.sampled_from([2.0, -1.0, 1, np.float64(-1.0)])
+ILL_TYPED_MATRICES = (RAGGED_MATRICES | BARE_NUMBERS
+                      | NOT_NUMBERS.map(lambda v: [[-1.0, v], [0.0, -1.0]]))
 ILL_TYPED_VECTORS = (st.sampled_from([[[1.0], [2.0, 3.0]], [1.0, [2.0]], []])
                      | NOT_NUMBERS.map(lambda v: [1.0, v]))
 
@@ -229,6 +232,8 @@ def test_structural_errors_name_the_field():
         (lambda: SignalFamily((0.5, "x"), 1, (0,)), "dwells[1]: "),
         (lambda: matrix_mode([[-1.0, 0.0], [1j, -1.0]]), "A[1][0]: "),
         (lambda: DiagonalGroupMode("x"), "mu: "),
+        (lambda: segment_energy(2.0, 1.0), "A must be a nonempty square matrix"),
+        (lambda: lyapunov_solve(-1.0, 1.0), "A must be a nonempty square matrix"),
     ]
     for call, prefix in cases:
         with pytest.raises(StructuralError) as exc:

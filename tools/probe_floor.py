@@ -1,4 +1,4 @@
-"""Print, for each benchmark workload, the fewest probes any sample ran.
+"""Print, for each benchmark workload, how close its samples ran to the probe floor.
 
 The benchmark counts a sample in which fewer than MIN_PROBES probes ran as
 failed (the floor, read from perfbench/run.py), so a workload's fewest probes
@@ -7,7 +7,10 @@ RUNS_DIR/<workload>-seed<n>-trace<t>-<ns>/w*.result.json (RUNS_DIR defaults to
 .perfbench_runs) and prints one line per workload: the fewest probes, that
 sample's slowdown (its mean probe time over NOMINAL_PROBE_S), its headroom
 (fewest probes / floor: the largest speedup that sample could take and still
-pass) and the sample's file.  Traced samples run no probe and are skipped.
+pass) and the sample's file; then how many of its probed samples ran under
+the floor, how many ran at it or one probe above it, and the smallest sample
+task_s, at nominal host speed as the benchmark reports it.  Traced samples
+run no probe and are skipped.
 
     python3 tools/probe_floor.py [RUNS_DIR]
 """
@@ -32,19 +35,27 @@ def run_constant(name, run_py=RUN_PY):
 
 def main(argv):
     runs = Path(argv[0] if argv else ".perfbench_runs")
-    fewest = {}
-    for path in sorted(runs.glob("*/w*.result.json")):
-        probes = json.loads(path.read_text()).get("probe_s")
-        workload = path.parent.name.rsplit("-seed", 1)[0]
-        if probes and (workload not in fewest or len(probes) < fewest[workload][0]):
-            fewest[workload] = (len(probes), statistics.mean(probes), path)
-    if not fewest:
-        sys.exit(f"no sample with probe times under {runs}")
     nominal, floor = run_constant("NOMINAL_PROBE_S"), run_constant("MIN_PROBES")
-    for workload, (n, mean_s, path) in sorted(fewest.items()):
+    samples = {}  # workload -> [(probes, mean probe time, nominal task_s, path)]
+    for path in sorted(runs.glob("*/w*.result.json")):
+        result = json.loads(path.read_text())
+        probes = result.get("probe_s")
+        if probes:
+            mean_s = statistics.mean(probes)
+            task_s = (result["task_s"] - sum(probes)) * nominal / mean_s
+            workload = path.parent.name.rsplit("-seed", 1)[0]
+            samples.setdefault(workload, []).append((len(probes), mean_s, task_s, path))
+    if not samples:
+        sys.exit(f"no sample with probe times under {runs}")
+    for workload, rows in sorted(samples.items()):
+        n, mean_s, _, path = min(rows, key=lambda row: row[0])
+        under = sum(row[0] < floor for row in rows)
+        near = sum(floor <= row[0] <= floor + 1 for row in rows)
         print(f"{workload}: {n} probes at slowdown {mean_s / nominal:.2f}, "
               f"headroom {n / floor:.2f}x over the {floor}-probe floor "
-              f"({path.parent.name}/{path.name})")
+              f"({path.parent.name}/{path.name}); of {len(rows)} samples {under} ran "
+              f"under the floor and {near} at it or one probe above; "
+              f"smallest task_s {min(row[2] for row in rows):.4f} s")
 
 
 if __name__ == "__main__":
