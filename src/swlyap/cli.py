@@ -74,17 +74,23 @@ EXAMPLES = tuple(_PARAMS)
 # accepted run takes about 8 s.  simulate: each point is evolved from t = 0
 # through every piece before it, at 1.7-8.6 us a piece (transport is slowest).
 _SIMULATE_LIMIT = 1_000_000
-# certify: a norm per time point and 1 + 17 x modes values of V per sample and
-# family signal, 0.05-0.55 ms a unit; a six-mode 2x2 system is the slowest,
-# and the benchmark's pair is accepted up to 28 samples.
-_CERTIFY_LIMIT = 15_000
+# certify: per sample and distinct trajectory, a norm at each point of the
+# time grid and of the growth check's 4-point grid, and 1 + 17 x modes values
+# of V.  A unit took 0.5-0.67 ms on matrix systems of 2 to 8 dimensions and 2
+# to 6 modes, and 0.05-0.08 ms on shift_amplify systems; the README config's
+# 5 samples (13,430) took 8.1-9.0 s.  The count does not see how deep adaptive
+# Simpson refines, so stiff or fast-rotating modes take longer: 1.7 ms a unit
+# for the pair [[-0.1, -20], [40, -0.1]], [[-0.1, -40], [20, -0.1]].
+_CERTIFY_LIMIT = 14_000
 # worst_case: a segment energy a piece, 0.3-0.4 ms; a two-mode, one-dwell family
 # is accepted at depth 9 (20,460) and refused at depth 10 (45,034).
 _WORST_CASE_LIMIT = 25_000
-# gram: an operator step a piece, 0.1-0.16 ms when each candidate adds a new
-# dwell, whatever the dimension; dim^2 bounds the entries written, and dim 1
-# is the slowest at the limit.
+# gram: a candidate whose dwells are new costs about 0.25 ms and writes a
+# dim x dim operator; a pair of 1x1 modes with 4,999 dwells at one switch
+# (19,998 x 3) took 4.8 s and wrote 4.6 MB.
 _GRAM_LIMIT = 60_000
+# certify counts a family's distinct trajectories by walking it, 0.2 us a piece.
+_ENUMERATION_PIECES = 1_000_000
 # certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
 # slope needs two points of it.
 _CERTIFY_MIN_HORIZON = 0.5
@@ -188,6 +194,15 @@ def _bound(errors, limit, what, factors):
         errors.append(f"{blame}: {what}, more than {limit:,}")
 
 
+def _trajectories(family):
+    """The family's distinct trajectories, or its size when enumerating it
+    would walk more than _ENUMERATION_PIECES signal pieces."""
+    size = family_size(family)
+    if size * (family.max_switches + 1) > _ENUMERATION_PIECES:
+        return size
+    return sum(1 for _ in distinct_trajectories(enumerate_family(family)))
+
+
 def _sampler(system):
     """The first mode ``certify`` can draw sample states for."""
     for mode in system.modes:
@@ -273,20 +288,22 @@ def validate_config(raw, overrides=None):
                 errors.append(f"horizon: certify needs at least {_CERTIFY_MIN_HORIZON}, "
                               "two points of its 0.25 time grid to fit a rate")
             elif family and n_samples and horizon:
-                _bound(errors, _CERTIFY_LIMIT, "certify would evaluate n_samples x family size "
-                       "x (horizon/0.25 + 1 + 18 x modes) signals",
-                       {"n_samples": n_samples, "family": family_size(family),
-                        "horizon": horizon // 0.25 + 1 + 18 * system.n_modes})
+                _bound(errors, _CERTIFY_LIMIT, "certify would evaluate n_samples x distinct "
+                       "trajectories x (horizon/0.25 + 5 + 17 x modes) signals",
+                       {"n_samples": n_samples, "family": _trajectories(family),
+                        "horizon": horizon // 0.25 + 5 + 17 * system.n_modes})
+        elif task == "worst_case" and family:
+            _bound(errors, _WORST_CASE_LIMIT, "worst_case would walk family size x "
+                   "(max_switches + 1) signal pieces",
+                   {"family": family_size(family), "family.max_switches": family.max_switches + 1})
         elif task == "gram":
             dim = _parse(errors, "system.modes", _system_dim, system)
-        if task in ("worst_case", "gram") and family:
-            pieces = {"family": family_size(family), "family.max_switches": family.max_switches + 1}
-            if task == "worst_case":
-                _bound(errors, _WORST_CASE_LIMIT,
-                       "worst_case would walk family size x (max_switches + 1) signal pieces", pieces)
-            elif dim:
-                _bound(errors, _GRAM_LIMIT, "gram would walk family size x (max_switches + 1) "
-                       "signal pieces x dim^2 operator entries", {**pieces, "system.modes": dim * dim})
+            if dim and family:
+                # time grows with the pieces walked, bytes with the entries written
+                per = {"family.max_switches": family.max_switches + 1, "system.modes": dim * dim}
+                _bound(errors, _GRAM_LIMIT, "gram would walk family size x (max_switches + 1 "
+                       "+ dim^2) signal pieces and operator entries",
+                       {"family": family_size(family), max(per, key=per.get): sum(per.values())})
     out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")

@@ -301,21 +301,34 @@ def test_simulate_grid_bound_sits_at_the_limit():
 
 
 def test_certify_cost_bound_sits_at_the_limit():
-    # one mode, one signal: n_samples x (horizon/0.25 + 1 + 18) evaluations
+    # one mode, one signal: n_samples x (horizon/0.25 + 5 + 17) evaluations
     base = {"task": "certify", **scalar_config(-1.0),
             "family": {"dwells": [1.0], "max_switches": 0}, "n_samples": 500}
-    assert validate_config({**base, "horizon": 2.75})[1] == []  # 500 x 30 = 15,000
-    assert validate_config({**base, "horizon": 3.0})[1][0].startswith("n_samples: ")
-    base["horizon"] = 20.25  # 100 evaluations per sample
-    assert validate_config({**base, "n_samples": 150})[1] == []
-    assert validate_config({**base, "n_samples": 151})[1][0].startswith("n_samples: ")
-    # the benchmark's matrix-certify config makes 1 x 10 x 53 = 530 a sample,
-    # and is accepted up to 28 samples (14,840)
+    assert validate_config({**base, "horizon": 1.5})[1] == []  # 500 x 28 = 14,000
+    assert validate_config({**base, "horizon": 1.75})[1][0].startswith("n_samples: ")
+    base["horizon"] = 19.5  # 100 evaluations per sample
+    assert validate_config({**base, "n_samples": 140})[1] == []
+    assert validate_config({**base, "n_samples": 141})[1][0].startswith("n_samples: ")
+    # the benchmark's matrix-certify config: 6 distinct trajectories of its 10
+    # signals x 55 = 330 a sample, accepted up to 42 samples (13,860)
     doc = {"task": "certify", "system": PAIR, "n_samples": 1, "horizon": 4.0,
            "family": {"dwells": [0.5, 1.0], "max_switches": 1}}
     assert validate_config(doc)[1] == []
-    assert validate_config({**doc, "n_samples": 28})[1] == []
-    assert validate_config({**doc, "n_samples": 29})[1][0].startswith("horizon: certify")
+    assert validate_config({**doc, "n_samples": 42})[1] == []
+    assert validate_config({**doc, "n_samples": 43})[1][0].startswith("horizon: certify")
+    # README's example: 34 distinct trajectories of 86 signals x 79, 5 samples
+    readme = {**doc, "n_samples": 5, "horizon": 10.0,
+              "family": {"dwells": [0.25, 0.5, 1.0], "max_switches": 2}}
+    assert validate_config(readme)[1] == []  # 13,430
+    assert validate_config({**readme, "n_samples": 6})[1][0].startswith("horizon: certify")
+    # one mode runs one trajectory however many signals the family holds; a
+    # family walked past 1,000,000 pieces is counted by its size instead
+    one = {**base, "n_samples": 1, "family": {"dwells": [0.5], "max_switches": 999}}
+    t0 = time.perf_counter()
+    assert validate_config(one)[1] == []  # 1,000 signals x 1,000 pieces
+    assert time.perf_counter() - t0 < 1.0
+    one["family"] = {"dwells": [0.5], "max_switches": 1000}
+    assert validate_config(one)[1][0].startswith("family: certify")
     # a family too large to enumerate is blamed on the family, not printed
     doc["family"]["max_switches"] = 20_000
     assert validate_config(doc)[1][0].startswith("family: certify")
@@ -360,37 +373,36 @@ def test_simulate_segment_bound_sits_at_the_limit():
 
 
 def test_gram_cost_bound_sits_at_the_limit():
-    def family(n_modes, dwells, k, A=NON_DIAGONAL["modes"][0]["A"]):
+    def family(n_modes, dwells, k, dim=2):
+        A = [[-1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
         return {"task": "gram", "system": {"modes": [{"kind": "matrix", "A": A}] * n_modes},
-                "state": {"coords": [1.0] * len(A)},
+                "state": {"coords": [1.0] * dim},
                 "family": {"dwells": dwells, "max_switches": k}}
 
-    # one mode, one dwell, dim 2: k + 1 candidates of up to k + 1 pieces of 4 entries
-    assert validate_config(family(1, [0.5], 121))[1] == []  # 122 x 122 x 4 = 59,536
-    assert validate_config(family(1, [0.5], 122))[1][0].startswith("family: gram")
+    # family size x (k + 1 + dim^2), blamed on the larger of k + 1 and dim^2
+    # one mode, one dwell: k + 1 candidates of up to k + 1 pieces
+    assert validate_config(family(1, [0.5], 241))[1] == []  # 242 x 246 = 59,532
+    assert validate_config(family(1, [0.5], 242))[1][0].startswith("family.max_switches: gram")
     # two modes, one dwell: 2 (2^(k+1) - 1) candidates
-    assert validate_config(family(2, [0.5], 8))[1] == []  # 1,022 x 9 x 4 = 36,792
-    assert validate_config(family(2, [0.5], 9))[1][0].startswith("family: gram")
-    # dim 1 is the slowest per piece: 7,499 dwells at one switch took 6.3 s
-    one = [[-1.0]]
-    assert validate_config(family(2, [0.5 + 1e-4 * i for i in range(7_499)], 1, one))[1] == []
-    error = validate_config(family(2, [0.5 + 1e-4 * i for i in range(7_500)], 1, one))[1]
-    assert error[0].startswith("family: gram")  # 30,002 x 2 = 60,004
-    # dim 8: 64 entries a piece, blamed on the modes when dim^2 is the largest
-    # factor; a dim-8 pair at depth 11 wrote 23.6 MB before dim^2 was counted
-    eight = [[-1.0 if i == j else 0.0 for j in range(8)] for i in range(8)]
-    assert validate_config(family(1, [0.5], 29, eight))[1] == []  # 30 x 30 x 64 = 57,600
-    assert validate_config(family(1, [0.5], 30, eight))[1][0].startswith("system.modes: gram")
-    assert validate_config(family(2, [0.5], 5, eight))[1] == []  # 126 x 6 x 64 = 48,384
-    assert validate_config(family(2, [0.5], 6, eight))[1][0].startswith("family: gram")
-    assert validate_config(family(2, [0.5], 11, eight))[1][0].startswith("family: gram")
+    assert validate_config(family(2, [0.5], 9))[1] == []  # 2,046 x 14 = 28,644
+    assert validate_config(family(2, [0.5], 10))[1][0].startswith("family: gram")
+    # dim 1 with new dwells is the slowest: 4,999 dwells at one switch took 4.8 s
+    dwells = [0.5 + 1e-4 * i for i in range(5_000)]
+    assert validate_config(family(2, dwells[:-1], 1, dim=1))[1] == []  # 19,998 x 3
+    assert validate_config(family(2, dwells, 1, dim=1))[1][0].startswith("family: gram")
+    # dim^2 counts the entries each candidate writes; a dim-8 pair at depth
+    # 11 wrote 23.6 MB before it was counted
+    assert validate_config(family(2, [0.5], 7, dim=8))[1] == []  # 510 x 72 = 36,720
+    assert validate_config(family(2, [0.5], 8, dim=8))[1][0].startswith("family: gram")
+    assert validate_config(family(2, [0.5], 11, dim=8))[1][0].startswith("family: gram")
+    assert validate_config(family(1, [0.5], 61, dim=30))[1] == []  # 62 x 962 = 59,644
+    assert validate_config(family(1, [0.5], 62, dim=30))[1][0].startswith("system.modes: gram")
     # a family past enumeration is refused without enumerating it
     t0 = time.perf_counter()
     assert validate_config(family(2, [0.5], 18))[1][0].startswith("family: gram")
     assert time.perf_counter() - t0 < 1.0
-    # the benchmark's gram-deep shape: 2 modes, 4 dwells, depth 3, dim 3 is 1,170 x 4 x 9
-    three = [row[:3] for row in eight[:3]]
-    assert validate_config(family(2, [0.25, 0.5, 0.75, 1.0], 3, three))[1] == []
+    # the benchmark's gram-deep shape: 2 modes, 4 dwells, depth 3, dim 3 is 1,170 x 13
+    assert validate_config(family(2, [0.25, 0.5, 0.75, 1.0], 3, dim=3))[1] == []
 
 
 @pytest.mark.parametrize("probe", ["simulate-long-signal-fine-grid",

@@ -9,8 +9,8 @@ sample's slowdown (its mean probe time over NOMINAL_PROBE_S), its headroom
 (fewest probes / floor: the largest speedup that sample could take and still
 pass) and the sample's file; then how many of its probed samples ran under
 the floor, how many ran at it or one probe above it, and the smallest sample
-task_s, at nominal host speed as the benchmark reports it.  Traced samples
-run no probe and are skipped.
+task_s as the sample recorded it.  Traced samples run no probe and are
+skipped.
 
     python3 tools/probe_floor.py [RUNS_DIR]
 """
@@ -36,15 +36,14 @@ def run_constant(name, run_py=RUN_PY):
 def main(argv):
     runs = Path(argv[0] if argv else ".perfbench_runs")
     nominal, floor = run_constant("NOMINAL_PROBE_S"), run_constant("MIN_PROBES")
-    samples = {}  # workload -> [(probes, mean probe time, nominal task_s, path)]
+    samples = {}  # workload -> [(probes, mean probe time, task_s, path)]
     for path in sorted(runs.glob("*/w*.result.json")):
         result = json.loads(path.read_text())
         probes = result.get("probe_s")
         if probes:
-            mean_s = statistics.mean(probes)
-            task_s = (result["task_s"] - sum(probes)) * nominal / mean_s
             workload = path.parent.name.rsplit("-seed", 1)[0]
-            samples.setdefault(workload, []).append((len(probes), mean_s, task_s, path))
+            samples.setdefault(workload, []).append(
+                (len(probes), statistics.mean(probes), result["task_s"], path))
     if not samples:
         sys.exit(f"no sample with probe times under {runs}")
     for workload, rows in sorted(samples.items()):
