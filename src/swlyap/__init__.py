@@ -6,10 +6,13 @@ searches finite signal families for worst-case trajectory energy, and turns
 the resulting bounds into exponential growth/decay certificates.
 """
 
-from .bounds import DatkoCertificate, DecayBound, GrowthBound, NormEquivalence
 from .certificates import (
     ConditionReport,
+    DatkoCertificate,
+    DecayBound,
     FitRefusal,
+    GrowthBound,
+    NormEquivalence,
     condition_report,
     datko_certificate,
     fit_decay,

@@ -1,6 +1,7 @@
-"""Fitting and composing stability certificates from sampled evidence.
+"""Stability certificates: growth and decay envelopes, norm equivalence and the
+Datko chain, and the fits and compositions that build them.
 
-The fits here are empirical: they majorize the samples they saw, which are
+The fits are empirical: they majorize the samples they saw, which are
 themselves lower bounds of suprema over all signals.  Every fitted constant
 should therefore be read as "lower-confidence" evidence, in contrast to the
 closed-form certificate composition (Datko chain, Gronwall constants), which
@@ -14,8 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import DatkoCertificate, DecayBound, GrowthBound, NormEquivalence
-from .errors import ContractViolation, EstimationError, SwlyapError
+from .errors import ContractViolation, EstimationError, StructuralError, SwlyapError
 from .lyapunov import generalized_derivative
 from .state_space import state_norm
 from .switching import (
@@ -23,10 +23,15 @@ from .switching import (
     SwitchedSystem,
     distinct_trajectories,
     enumerate_family,
-    evolve,
+    evolve,  # unused here: perfbench/tracer.py checks that certificates binds it
+    operator_norm_witness,
 )
 
 __all__ = [
+    "GrowthBound",
+    "DecayBound",
+    "NormEquivalence",
+    "DatkoCertificate",
     "FitRefusal",
     "norm_ratio_samples",
     "fit_growth",
@@ -45,6 +50,95 @@ _T1_FACTOR = 1.01  # the Datko horizon t1 as a multiple of the dwell scale t0
 
 
 @dataclass(frozen=True)
+class GrowthBound:
+    """Uniform exponential growth envelope: operator norms <= M e^{omega t}."""
+
+    M: float
+    omega: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "M", float(self.M))
+        object.__setattr__(self, "omega", float(self.omega))
+        if not (self.M >= 1.0 and math.isfinite(self.M)):
+            raise StructuralError("growth constant M must be >= 1")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise StructuralError("growth rate omega must be positive")
+
+    def at(self, t: float) -> float:
+        return self.M * math.exp(self.omega * t)
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class DecayBound:
+    """Uniform exponential decay envelope: operator norms <= K e^{-mu t}."""
+
+    K: float
+    mu: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "K", float(self.K))
+        object.__setattr__(self, "mu", float(self.mu))
+        if not (self.K >= 1.0 and math.isfinite(self.K)):
+            raise StructuralError("decay constant K must be >= 1")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise StructuralError("decay rate mu must be positive")
+
+    def at(self, t: float) -> float:
+        return self.K * math.exp(-self.mu * t)
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class NormEquivalence:
+    """Two-sided comparability c ||x||^2 <= V(x) <= C ||x||^2."""
+
+    c: float
+    C: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "C", float(self.C))
+        if not (0 < self.c <= self.C and math.isfinite(self.C)):
+            raise StructuralError("need 0 < c <= C")
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class DatkoCertificate:
+    """The full constant chain of the integral-to-exponential argument.
+
+    From a uniform trajectory bound k and an integral constant C_int with
+    exponent p, choosing a contraction target beta in (0, 1) yields the
+    dwell scale t0 = C_int / rho^p with rho = beta / k, a fixed t1 > t0,
+    and the decay pair mu = -ln(beta)/t1, K.  ``datko_certificate`` builds
+    and checks it.
+    """
+
+    p: float
+    C_int: float
+    k: float
+    rho: float
+    beta: float
+    t0: float
+    t1: float
+    K: float
+    mu: float
+
+    def decay(self) -> DecayBound:
+        return DecayBound(max(self.K, 1.0), self.mu)
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class FitRefusal:
     """Returned by fit_decay when the sampled norms do not decay."""
 
@@ -59,27 +153,21 @@ class FitRefusal:
 
 
 def norm_ratio_samples(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> list:
-    """Per time point ``(t, ratio, signal)``: the sup norm ratio over the
-    family's distinct trajectories and the witnesses, and the first signal
-    that reaches it.  Both fits take this list."""
+    """Per time point ``(t, ratio, signal)``: the largest ``operator_norm_witness``
+    over the family's distinct trajectories, and the first signal that reaches
+    it.  Both fits take this list."""
     time_grid = [float(t) for t in time_grid]
     if not time_grid:
         raise ContractViolation("need at least one time point")
     signals = list(distinct_trajectories(enumerate_family(fam)))
-    wnorms = []
-    for w in witnesses:
-        nw = state_norm(w, sys.norm)
-        if nw == 0.0:
-            raise ContractViolation("witness states must be nonzero")
-        wnorms.append(nw)
+    witnesses = list(witnesses)
     samples = []
     for t in time_grid:
         best, arg = 0.0, None
         for sig in signals:
-            for w, nw in zip(witnesses, wnorms):
-                r = state_norm(evolve(sys, sig, t, w), sys.norm) / nw
-                if r > best:
-                    best, arg = r, sig
+            r = operator_norm_witness(sys, sig, t, witnesses)
+            if r > best:
+                best, arg = r, sig
         samples.append((t, best, arg))
     return samples
 
@@ -223,20 +311,7 @@ class ConditionReport:
         return NormEquivalence(self.c_hat, self.C_hat)
 
     def to_json(self) -> dict:
-        return {
-            "c_hat": self.c_hat,
-            "C_hat": self.C_hat,
-            "upper_ok": self.upper_ok,
-            "lower_ok": self.lower_ok,
-            "derivative_ok": self.derivative_ok,
-            "growth": self.growth.to_json() if self.growth else None,
-            "growth_ok": self.growth_ok,
-            "kappa_tol": _KAPPA_TOL,
-            "supports": dict(self.supports),
-            "notes": list(self.notes),
-            "n_samples": self.n_samples,
-            "provenance": EMPIRICAL_PROVENANCE,
-        }
+        return {**asdict(self), "kappa_tol": _KAPPA_TOL, "provenance": EMPIRICAL_PROVENANCE}
 
 
 def condition_report(
@@ -256,18 +331,20 @@ def condition_report(
     aborting the sweep; any other exception is a bug and propagates.  A
     ``growth`` envelope is checked at t = 0.5, 1, 2 and 4, extrapolated past a
     shorter fitted grid, against the sup norm ratio over the family's distinct
-    trajectories and the nonzero samples.
+    trajectories and the nonzero samples; with no nonzero sample (one whose
+    squared norm is not 0) ``growth_ok`` stays None.
     """
     if not samples:
         raise ContractViolation("need at least one sample state")
     report = ConditionReport(growth=growth)
-    ratios = []
+    ratios, nonzero = [], []
     deriv_all_ok = True
     for x in samples:
         n2 = state_norm(x, sys.norm) ** 2
         if n2 == 0.0:
             report.n_samples += 1
             continue
+        nonzero.append(x)
         try:
             val = v(x)
             dvals = [generalized_derivative(v, sys, j, x, v0=val) for j in range(sys.n_modes)]
@@ -283,9 +360,8 @@ def condition_report(
         report.upper_ok = math.isfinite(report.C_hat)
         report.lower_ok = report.c_hat > 0.0
     report.derivative_ok = deriv_all_ok
-    if growth is not None:
-        witnesses = [x for x in samples if state_norm(x, sys.norm) > 0.0]
-        sweep = norm_ratio_samples(sys, fam, _GROWTH_CHECK_GRID, witnesses)
+    if growth is not None and nonzero:
+        sweep = norm_ratio_samples(sys, fam, _GROWTH_CHECK_GRID, nonzero)
         report.growth_ok = all(r <= growth.at(t) * (1.0 + 1e-9) for t, r, _ in sweep)
     supports_c = report.upper_ok and report.lower_ok and report.derivative_ok
     supports_b = report.upper_ok and report.derivative_ok and (report.growth_ok is True)

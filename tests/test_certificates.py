@@ -12,11 +12,14 @@ from swlyap import (
     FitRefusal,
     GrowthBound,
     NormEquivalence,
+    NormSpec,
     SignalFamily,
+    SwitchedSystem,
     SwitchingSignal,
     SwlyapError,
     condition_report,
     datko_certificate,
+    distinct_trajectories,
     enumerate_family,
     euclidean_state,
     evolve,
@@ -24,7 +27,9 @@ from swlyap import (
     fit_decay,
     fit_growth,
     gronwall_certificate,
+    matrix_mode,
     norm_ratio_samples,
+    operator_norm_witness,
     state_norm,
 )
 from swlyap.lyapunov import DEFAULT_HORIZON
@@ -64,6 +69,45 @@ class TestFitGrowth:
         # envelope majorizes the sampled staircase
         for k, t in enumerate(grid, start=1):
             assert bound.at(t) >= 2.0**k * (1.0 - 1e-9)
+
+
+def random_sweep_case(kind, seed):
+    """A system, a small family, three times and one to three nonzero witnesses:
+    the transport doubling pair with dyadic witnesses, or two random 2x2 modes."""
+    rng = np.random.default_rng(seed)
+    if kind == "transport":
+        sys_ = blowup_transport_pair()
+        draws = (random_dyadic_fn(rng) for _ in range(20))
+        witnesses = [f for f in draws if not f.is_zero()][: int(rng.integers(1, 4))]
+    else:
+        modes = [matrix_mode(rng.uniform(-2.0, 2.0, size=(2, 2)).tolist()) for _ in range(2)]
+        sys_ = SwitchedSystem(tuple(modes), NormSpec.euclidean())
+        witnesses = [euclidean_state(rng.standard_normal(2)) for _ in range(rng.integers(1, 4))]
+    dwells = tuple(float(d) for d in rng.choice([0.25, 0.5, 0.75], size=2, replace=False))
+    fam = SignalFamily(dwells, int(rng.integers(0, 3)), (0, 1))
+    grid = sorted(float(k) / 4.0 for k in rng.integers(0, 9, size=3))
+    return sys_, fam, grid, witnesses
+
+
+class TestNormRatioSamples:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["transport", "matrix"]), seed=st.integers(0, 2**32 - 1))
+    def test_each_point_is_the_largest_witness_norm(self, kind, seed):
+        sys_, fam, grid, witnesses = random_sweep_case(kind, seed)
+        signals = list(distinct_trajectories(enumerate_family(fam)))
+        for t, ratio, signal in norm_ratio_samples(sys_, fam, grid, witnesses):
+            ratios = [operator_norm_witness(sys_, sig, t, witnesses) for sig in signals]
+            best = max(ratios)
+            assert ratio == best
+            assert signal == (signals[ratios.index(best)] if best > 0.0 else None)
+
+    @pytest.mark.parametrize("witnesses", [[], [euclidean_state([0.0])], [UNIT, 0.0 * UNIT]],
+                             ids=["empty", "zero", "one-zero"])
+    def test_sweep_and_witness_refuse_an_empty_or_zero_witness(self, witnesses):
+        with pytest.raises(ContractViolation, match="witness"):
+            norm_ratio_samples(SCALAR, SignalFamily((1.0,), 0, (0,)), [1.0], witnesses)
+        with pytest.raises(ContractViolation, match="witness"):
+            operator_norm_witness(SCALAR, SwitchingSignal((), 0), 1.0, witnesses)
 
 
 class TestFitDecay:
@@ -242,6 +286,13 @@ class TestConditionReport:
         rep = condition_report(SCALAR, v, [euclidean_state([0.0])], fam)
         assert rep.n_samples == 1 and rep.derivative_ok
         assert rep.c_hat is None
+
+    def test_zero_samples_leave_growth_unchecked(self):
+        fam = SignalFamily((1.0,), 0, (0,))
+        samples = [euclidean_state([0.0]), euclidean_state([-0.0])]
+        rep = condition_report(SCALAR, lambda x: 0.0, samples, fam, growth=GrowthBound(1.0, 0.1))
+        assert rep.n_samples == 2 and rep.growth_ok is None
+        assert rep.supports == {"A": False, "B": False, "C": False}
 
     def test_cascade_upper_without_growth_flags_gap(self):
         # the cascade has a true energy bound (so the V upper bound holds) but
