@@ -341,14 +341,10 @@ def _out(config, name):
 
 def _run_simulate(config: RunConfig):
     sys_, sig, x = config.system, config.signal, config.state
-    ts = np.arange(0.0, config.horizon + 0.5 * config.dt, config.dt)
-    rows = []
-    for t in ts:
-        t = float(t)
-        n = state_norm(evolve(sys_, sig, t, x), sys_.norm)
-        rows.append((repr(t), repr(n), sig.active_mode(t)))
+    ts = [float(t) for t in np.arange(0.0, config.horizon + 0.5 * config.dt, config.dt)]
+    norms = [state_norm(evolve(sys_, sig, t, x), sys_.norm) for t in ts]
+    rows = [(repr(t), repr(n), sig.active_mode(t)) for t, n in zip(ts, norms)]
     _write_csv(_out(config, "trajectory.csv"), ("t", "norm", "mode_active"), rows)
-    norms = [float(r[1]) for r in rows]
     _write_json(
         _out(config, "summary.json"),
         {
