@@ -194,17 +194,30 @@ _B13 = tuple(b / 64764752532480000.0 for b in (
 
 
 def expm(A) -> np.ndarray:
-    """e^A of a square matrix by scaling and squaring (Higham 2005).
+    """e^A of a square matrix by scaling and squaring (Al-Mohy and Higham,
+    SIAM J. Matrix Anal. Appl. 31, 2009).
 
-    One approximant, [13/13] Pade from A^2, A^4 and A^6: above theta_13, A is
-    scaled by 2^-s into it and the result squared s times.  A non-finite
-    entry in A or in e^A raises EstimationError.
+    One approximant, [13/13] Pade from A^2, A^4 and A^6: when d_k =
+    ||A^k||_1^(1/k) for k = 6, 8 and 10 exceed theta_13, A is scaled by 2^-s
+    into it and the result squared s times.  d_k can lie far below ||A||_1,
+    which would overscale.  For triangular A each squaring's diagonal is
+    recomputed as exp of the scaled diagonal.  A non-finite entry in A or in
+    e^A raises EstimationError.
     """
     A = np.asarray(A, dtype=float)
     norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
     if not math.isfinite(norm):
         raise EstimationError("matrix exponential of a non-finite matrix")
-    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    eta = norm
+    if norm > _THETA_13:
+        with np.errstate(over="ignore", invalid="ignore"):
+            P4 = (P2 := A @ A) @ P2
+            d = [np.linalg.norm(P, 1) ** (1.0 / k) for P, k in ((P4 @ P2, 6), (P4 @ P4, 8),
+                                                                  (P4 @ P4 @ P2, 10))]
+        if np.isfinite(d).all():  # an overflowed power keeps eta = ||A||_1
+            eta = min(max(d[0], d[1]), max(d[1], d[2]))
+    s = math.ceil(math.log2(eta / _THETA_13)) if eta > _THETA_13 else 0
+    diag = np.diag(A) if not (np.tril(A, -1).any() and np.triu(A, 1).any()) else None
     A = A / 2.0**s
     b = _B13
     ident = np.eye(A.shape[0])
@@ -217,8 +230,10 @@ def expm(A) -> np.ndarray:
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     X = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
+        for k in range(s - 1, -1, -1):
             X = X @ X
+            if diag is not None:  # triangular: squaring would cost the diagonal 2^s ulps
+                np.fill_diagonal(X, np.exp(diag * 2.0**-k))
     if not np.isfinite(X).all():
         raise EstimationError(f"matrix exponential is not finite (||A||_1 = {norm:.3g})")
     return X

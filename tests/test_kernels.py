@@ -7,6 +7,7 @@ itself never imports scipy.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swlyap import EstimationError, lyapunov_solve
@@ -86,6 +87,43 @@ class TestExpm:
     def test_non_finite_input_raises(self, bad):
         with pytest.raises(EstimationError):
             expm(np.array([[bad, 0.0], [0.0, -1.0]]))
+
+
+def triangular_closed_form(a, b, c):
+    """e^A of A = [[a, b], [0, c]]: the off-diagonal is b (e^a - e^c) / (a - c),
+    written as b e^m sinh(h) / h with m, h = (a + c) / 2, (a - c) / 2; an
+    entry past the double range reads inf."""
+    m, h = 0.5 * (a + c), 0.5 * (a - c)
+    sinhc = math.sinh(h) / h if h else 1.0
+    return [[math.exp(a), b * math.exp(m) * sinhc], [0.0, math.exp(c)]]
+
+
+class TestExpmTriangular:
+    """Upper-triangular 2x2 matrices with 1 <= |b| <= 1e300: e^A matches the
+    closed form to 1e-13 in every entry, or raises EstimationError, which is
+    allowed only when an entry reaches 1e300.  Such a matrix has a 1-norm far
+    above its powers' growth d_k = ||A^k||^(1/k), so scaling by the norm would
+    overscale it, and the squarings would round its diagonal away."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=st.floats(-50.0, 50.0), c=st.floats(-50.0, 50.0), equal=st.booleans(),
+           log_b=st.floats(0.0, 300.0), sign=st.sampled_from([-1.0, 1.0]))
+    @example(a=1.0, c=1.0, equal=False, log_b=50.0, sign=1.0)
+    @example(a=1.0, c=-1.0, equal=False, log_b=300.0, sign=1.0)
+    @example(a=2.139, c=-2.999, equal=False, log_b=math.log10(4.33e189), sign=1.0)
+    @example(a=1.0, c=1.0, equal=False, log_b=10.0, sign=1.0)
+    @example(a=50.0, c=0.0, equal=False, log_b=300.0, sign=-1.0)  # e^A overflows
+    def test_matches_the_closed_form_or_raises(self, a, c, equal, log_b, sign):
+        c = a if equal else c
+        b = sign * 10.0**log_b
+        want = np.array(triangular_closed_form(a, b, c))
+        try:
+            got = expm(np.array([[a, b], [0.0, c]]))
+        except EstimationError:  # allowed only at the top of the double range or past it
+            assert not np.abs(want).max() < 1e300
+            return
+        assert np.isfinite(want).all()
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def hurwitz(M, margin):
