@@ -197,12 +197,13 @@ def expm(A) -> np.ndarray:
     """e^A of a square matrix by scaling and squaring (Al-Mohy and Higham,
     SIAM J. Matrix Anal. Appl. 31, 2009).
 
-    One approximant, [13/13] Pade from A^2, A^4 and A^6: when d_k =
-    ||A^k||_1^(1/k) for k = 6, 8 and 10 exceed theta_13, A is scaled by 2^-s
-    into it and the result squared s times.  d_k can lie far below ||A||_1,
-    which would overscale.  For triangular A each squaring's diagonal is
-    recomputed as exp of the scaled diagonal.  A non-finite entry in A or in
-    e^A raises EstimationError.
+    One approximant, [13/13] Pade from A^2, A^4 and A^6.  Above theta_13, A is
+    scaled by 2^-s and the result squared s times, with s the least that
+    brings eta = min(max(d_6, d_8), max(d_8, d_10)) within theta_13, where
+    d_k = ||A^k||_1^(1/k) <= ||A||_1: a matrix whose powers grow slowly is not
+    overscaled.  For triangular A each squaring's diagonal is recomputed as
+    exp of the scaled diagonal.  A non-finite entry in A or in e^A raises
+    EstimationError.
     """
     A = np.asarray(A, dtype=float)
     norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
@@ -212,8 +213,8 @@ def expm(A) -> np.ndarray:
     if norm > _THETA_13:
         with np.errstate(over="ignore", invalid="ignore"):
             P4 = (P2 := A @ A) @ P2
-            d = [np.linalg.norm(P, 1) ** (1.0 / k) for P, k in ((P4 @ P2, 6), (P4 @ P4, 8),
-                                                                  (P4 @ P4 @ P2, 10))]
+            P8 = P4 @ P4
+            d = [np.linalg.norm(P, 1) ** (1 / k) for P, k in ((P4 @ P2, 6), (P8, 8), (P8 @ P2, 10))]
         if np.isfinite(d).all():  # an overflowed power keeps eta = ||A||_1
             eta = min(max(d[0], d[1]), max(d[1], d[2]))
     s = math.ceil(math.log2(eta / _THETA_13)) if eta > _THETA_13 else 0
