@@ -16,7 +16,9 @@ Four kinds of modes are supported:
   strongly stable but with operator norm identically 1.
 
 Transport is implemented directly on the piecewise representation, so dyadic
-breakpoints evolve with exact double arithmetic.  All operations are pure.
+breakpoints evolve with exact double arithmetic.  The kernel ``_transport``
+works on break and value lists: ``apply`` builds its result into a state,
+``switching.evolve`` hands it to the next step.  All operations are pure.
 
 The one memo is per matrix mode: ``MatrixMode.exp(t)`` keeps each e^{tA} it
 computes in the mode's own ``__dict__``, cleared once it holds 4,096, and
@@ -243,31 +245,34 @@ def expm(A) -> np.ndarray:
 # -- transport kernel ----------------------------------------------------------
 
 
-def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
-    """Translate ``f`` by ``t`` and amplify the window of crossed characteristics.
+def _check_domain(mode, lo: float, hi: float) -> None:
+    """Raise StructuralError unless a state on [lo, hi] lives where ``mode`` moves it."""
+    if isinstance(mode, HalfLineShiftMode):
+        if lo != 0.0:
+            raise StructuralError("half-line states must live on [0, hi]")
+    elif (lo, hi) != mode.domain:
+        raise StructuralError(
+            f"state domain {(lo, hi)} does not match mode domain {mode.domain}"
+        )
 
-    One sort of the shifted edges of ``f`` and the window ends gives the output
+
+def _transport(mode, t: float, lo: float, hi: float, f_breaks, f_values) -> tuple:
+    """The breaks and values, as lists, of the state f = ``(f_breaks, f_values)``
+    on [lo, hi] translated by ``t > 0``, with the window of crossed
+    characteristics amplified.
+
+    One sort of the shifted edges of f and the window ends gives the output
     cuts; one walk over them values each piece at its midpoint (exact on dyadic
-    data), read through an index that only moves right over the breaks of ``f``,
+    data), read through an index that only moves right over the breaks of f,
     and merges equal neighbours, so the result is canonical as built.
     """
-    if isinstance(mode, HalfLineShiftMode):
-        if f.domain_lo != 0.0:
-            raise StructuralError("half-line states must live on [0, hi]")
-    elif f.domain != mode.domain:
-        raise StructuralError(
-            f"state domain {f.domain} does not match mode domain {mode.domain}"
-        )
-    if t == 0.0:
-        return canonicalize(f)
-    lo, hi = f.domain
     if t >= hi - lo:
-        return PiecewiseConstantFn._from_floats(lo, hi, (), (0.0,))
+        return [], [0.0]
     # output s carries f(s + shift), times g on [w_lo, w_hi): it crossed the edge by t
     c, g = mode.edge, mode.factor
     shift, w_lo, w_hi = (t, c - t, c) if mode.direction == "left" else (-t, c, c + t)
-    cuts = sorted([b - shift for b in f.edges()] + [w_lo, w_hi, hi])
-    f_breaks, f_values, n = f.breaks, f.values, len(f.breaks)
+    cuts = sorted([b - shift for b in (lo, *f_breaks, hi)] + [w_lo, w_hi, hi])
+    n = len(f_breaks)
     breaks, values = [], []
     a, j = lo, 0
     for b in cuts:
@@ -284,7 +289,7 @@ def _transport(mode, t: float, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
             breaks.append(a)
             values.append(v)
         a = b
-    return PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks[1:]), tuple(values))
+    return breaks[1:], values
 
 
 def transport_events(mode, f: PiecewiseConstantFn, d: float) -> list:
@@ -339,7 +344,12 @@ def apply(mode, t: float, x):
     if isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
         if not isinstance(x, PiecewiseConstantFn):
             raise StructuralError("transport modes act on piecewise-constant states")
-        return _transport(mode, t, x)
+        lo, hi = x.domain
+        _check_domain(mode, lo, hi)
+        if t == 0.0:
+            return canonicalize(x)
+        breaks, values = _transport(mode, t, lo, hi, x.breaks, x.values)
+        return PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
     raise StructuralError(f"unknown mode type {type(mode).__name__}")
 
 

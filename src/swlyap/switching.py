@@ -4,9 +4,11 @@ A switching signal is a finite list of (mode_id, dwell) segments followed by
 a tail mode that stays active forever; signals are right-continuous and
 dwells are strictly positive (no chattering).  ``walk`` composes the mode
 semigroups segment by segment and yields every piece with its start and end
-states; ``evolve`` keeps the last state, and the trajectory energy sums one
-segment energy per piece.  On dyadic transport data the composition is exact, so
-the concatenation law
+states, and the trajectory energy sums one segment energy per piece.
+``evolve`` returns only the last state, so it hands a piecewise state from
+one transport step to the next as the kernel's lists, with ``apply``'s checks,
+and builds one state at the end.  On dyadic transport data the composition
+is exact, so the concatenation law
 
     evolve(sig, t + s, x) == evolve(shift_signal(sig, s), t, evolve(sig, s, x))
 
@@ -36,8 +38,17 @@ from .errors import (
     read_at,
     under,
 )
-from .semigroups import MatrixMode, apply, mode_from_json, mode_state_kind
-from .state_space import NormSpec, state_norm
+from .semigroups import (
+    HalfLineShiftMode,
+    MatrixMode,
+    ShiftAmplifyMode,
+    _check_domain,
+    _transport,
+    apply,
+    mode_from_json,
+    mode_state_kind,
+)
+from .state_space import NormSpec, PiecewiseConstantFn, _check_structure, state_norm
 
 __all__ = [
     "SwitchingSignal",
@@ -177,29 +188,58 @@ class SwitchedSystem:
         return self.modes[mode_id]
 
 
-def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
-    """Yield ``(mode, step, start, end)`` for each piece of ``sig`` on [0, t],
-    the tail last; each ``end`` is the next piece's ``start``."""
+def _pieces(sig: SwitchingSignal, t: float):
+    """Yield ``(mode_id, step)`` for each piece of ``sig`` on [0, t], the tail last."""
     if not 0.0 <= t < math.inf:  # also refuses NaN
         raise ContractViolation("evolution time must be finite and nonnegative")
     remaining = t
-    state = x
     for mode_id, dwell in sig.segments + ((sig.tail_mode, math.inf),):
         if remaining <= 0.0:
             return
         step = dwell if dwell <= remaining else remaining
+        yield mode_id, step
+        remaining -= step
+
+
+def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
+    """Yield ``(mode, step, start, end)`` for each piece of ``sig`` on [0, t],
+    the tail last; each ``end`` is the next piece's ``start``."""
+    state = x
+    for mode_id, step in _pieces(sig, t):
         mode = sys.mode(mode_id)
         end = apply(mode, step, state)
         yield mode, step, state, end
         state = end
-        remaining -= step
 
 
 def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
-    """Apply the switched evolution operator of ``sig`` for duration ``t``."""
-    state = x
-    for _, _, _, state in walk(sys, sig, t, x):
-        pass
+    """Apply the switched evolution operator of ``sig`` for duration ``t``.
+
+    Equals ``walk``'s last ``end`` (``x`` itself when ``t == 0``).  A piecewise
+    state goes through the transport steps as break and value lists, each
+    step's lists checked as ``apply`` checks its result, and is built once at
+    the end; any other mode or state goes through ``apply``.
+    """
+    if not isinstance(x, PiecewiseConstantFn):
+        for mode_id, step in _pieces(sig, t):
+            x = apply(sys.mode(mode_id), step, x)
+        return x
+    lo, hi = x.domain
+    breaks, values, state = x.breaks, x.values, x  # state is None while only the lists hold it
+    for mode_id, step in _pieces(sig, t):
+        mode = sys.mode(mode_id)
+        if isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
+            _check_domain(mode, lo, hi)
+            breaks, values = _transport(mode, step, lo, hi, breaks, values)
+            _check_structure(lo, hi, breaks, values)
+            state = None
+        else:
+            if state is None:
+                state = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
+            state = apply(mode, step, state)
+            breaks, values = state.breaks, state.values
+    if state is None:
+        state = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
     return state
 
 

@@ -77,3 +77,26 @@ def test_constants_are_read_from_the_benchmark_not_copied(tmp_path):
 def test_no_samples_is_an_error(tmp_path):
     out = _probe_floor(tmp_path)
     assert out.returncode == 1 and "no sample with probe times" in out.stderr
+
+
+def test_several_dirs_print_under_their_names(tmp_path):
+    tool = _tool()
+    nominal, floor = tool.run_constant("NOMINAL_PROBE_S"), tool.run_constant("MIN_PROBES")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    _sample(parent, "transport-simulate-seed1-trace0-1", [nominal] * (floor + 6), 0.18)
+    _sample(change, "transport-simulate-seed1-trace0-2", [2 * nominal] * (floor + 3), 0.15)
+    _sample(change, "gram-deep-seed1-trace0-3", [nominal] * floor)
+    alone = [_probe_floor(d).stdout.splitlines() for d in (parent, change)]
+    out = _probe_floor(parent, change)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == (
+        [f"{parent}:"] + [f"  {line}" for line in alone[0]]
+        + [f"{change}:"] + [f"  {line}" for line in alone[1]])
+    assert alone[1][1].startswith(f"transport-simulate: {floor + 3} probes at slowdown 2.00")
+    # a directory without a probed sample fails the whole run
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = _probe_floor(parent, empty)
+    assert out.returncode == 1 and f"no sample with probe times under {empty}" in out.stderr

@@ -1,7 +1,8 @@
 """The transport kernel and the closed-form transport energies, checked
 against a copy of the sample-then-canonicalize kernel they replace and
-against Gauss quadrature of the evolved norm; and the internal constructor
-the kernels build their states with, checked against the public one."""
+against Gauss quadrature of the evolved norm; the internal constructor
+the kernels build their states with, checked against the public one; and
+``evolve``'s list-carrying transport steps, checked against ``walk``."""
 
 import math
 import re
@@ -22,11 +23,14 @@ from swlyap import (
     SwitchingSignal,
     apply,
     canonicalize,
+    evolve,
+    matrix_mode,
     trajectory_cost,
 )
 from swlyap.lyapunov import _mean_pow
 from swlyap.semigroups import transport_events
 from swlyap.state_space import lp_norm_pow
+from swlyap.switching import walk
 
 DENOM = 64
 
@@ -188,6 +192,14 @@ def rough_transport_case(draw):
     values = draw(st.lists(st.sampled_from(levels), min_size=len(breaks) + 1,
                            max_size=len(breaks) + 1))
     return mode, canonicalize(PiecewiseConstantFn(lo, hi, breaks, tuple(values))), t
+
+
+@st.composite
+def off_grid_fn(draw, lo, hi):
+    breaks = sorted(draw(st.lists(st.floats(lo, hi, **FINITE), max_size=6)))
+    value = st.floats(-8.0, 8.0, **FINITE) | st.just(-0.0)
+    values = draw(st.lists(value, min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    return canonicalize(PiecewiseConstantFn(lo, hi, tuple(breaks), tuple(values)))
 
 
 class TestKernelMatchesReference:
@@ -358,3 +370,119 @@ class TestMeanPow:
         # (hi - lo) / hi rounds to 1, where log1p(-1) has no value
         assert _mean_pow(1.0, 1e-300, 2.0 / 13.0) == 1.0 / (2.0 / 13.0 + 1.0)
         assert _mean_pow(1e-17, 1.0, 0.5) == 1.0 / 1.5
+
+
+# -- evolve's list-carrying steps against walk ---------------------------------------
+
+
+@st.composite
+def switched_case(draw):
+    """(system, signal, state, times): a left and a right ``ShiftAmplifyMode`` on
+    one domain, or a ``HalfLineShiftMode`` and a right one on [0, hi], maybe
+    with a ``DiagonalGroupMode``; a dyadic or an off-grid state; 0-12 segments;
+    and the times 0, inside a segment, on a boundary, past every segment and
+    past the domain length."""
+    dyadic = draw(st.booleans())
+    half_line = draw(st.booleans())
+    if dyadic:
+        lo, hi = (0.0, draw(st.sampled_from((1.0, 4.0)))) if half_line else draw(
+            st.sampled_from(DOMAINS))
+    else:
+        lo = 0.0 if half_line else draw(st.floats(-3.0, 3.0, **FINITE))
+        hi = lo + draw(st.floats(0.01, 5.0, **FINITE))
+    width = hi - lo
+
+    def point():
+        if dyadic:
+            return lo + width * draw(st.integers(0, DENOM)) / DENOM
+        return draw(st.floats(lo, hi, **FINITE))
+
+    def amplifier(direction):
+        a, b = sorted((point(), point()))
+        return ShiftAmplifyMode(lo, hi, direction, a, b, draw(st.sampled_from(FACTORS)))
+
+    modes = [HalfLineShiftMode() if half_line else amplifier("left"), amplifier("right")]
+    if draw(st.booleans()):
+        modes.append(DiagonalGroupMode(draw(st.sampled_from((0.5, 1.0, math.log(2.0))))))
+    f = draw(dyadic_fn(lo, hi) if dyadic else off_grid_fn(lo, hi))
+    if dyadic:
+        dwell = st.integers(1, DENOM).map(lambda k: width * k / DENOM)
+    else:
+        dwell = st.floats(width / 1000, width, **FINITE)
+    mode_id = st.integers(0, len(modes) - 1)
+    segments = draw(st.lists(st.tuples(mode_id, dwell), max_size=12))
+    sig = SwitchingSignal(tuple(segments), draw(mode_id))
+    ends = [0.0]
+    for _, d in segments:
+        ends.append(ends[-1] + d)
+    times = [0.0, ends[-1] + 0.5 * width, ends[-1] + width * 1.25]
+    if segments:
+        i = draw(st.integers(1, len(segments)))
+        times += [ends[i], 0.5 * (ends[i - 1] + ends[i])]
+    return SwitchedSystem(tuple(modes), NormSpec(2.0)), sig, f, times
+
+
+def bits(f):
+    """The fields of ``f`` as hex strings, so that -0.0 and 0.0 differ."""
+    return tuple(map(float.hex, (f.domain_lo, f.domain_hi, *f.breaks, *f.values)))
+
+
+def walked(sys_, sig, t, x):
+    """``walk``'s last ``end``, or ``x`` when it yields nothing."""
+    for *_, x in walk(sys_, sig, t, x):
+        pass
+    return x
+
+
+def outcome(run, *args):
+    try:
+        return bits(run(*args))
+    except StructuralError as exc:
+        return str(exc)
+
+
+class TestEvolveCarriesLists:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(switched_case())
+    def test_equals_walks_last_end(self, case):
+        sys_, sig, f, times = case
+        assert evolve(sys_, sig, 0.0, f) is f
+        for t in times:
+            got = evolve(sys_, sig, t, f)
+            assert bits(got) == bits(walked(sys_, sig, t, f))
+            assert_kernel_built(got)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(switched_case(), st.sampled_from(("domain", "half-line", "matrix")),
+           st.integers(0, 12))
+    def test_a_refusing_mode_fails_when_first_stepped(self, case, refusal, at):
+        sys_, sig, f, times = case
+        lo, hi = f.domain
+        if refusal == "matrix":  # a matrix mode shares a system only with the group
+            modes = (DiagonalGroupMode(1.0), matrix_mode([[-1.0]]))
+            sys_ = SwitchedSystem(modes, NormSpec.euclidean())
+            sig = SwitchingSignal(tuple((0, d) for _, d in sig.segments), 0)
+            message = "matrix modes act on coordinate states"
+        elif refusal == "half-line" and lo != 0.0:
+            sys_ = SwitchedSystem(sys_.modes + (HalfLineShiftMode(),), sys_.norm)
+            message = "half-line states must live on [0, hi]"
+        else:
+            other = ShiftAmplifyMode(lo, hi + 1.0, "left", lo, lo, 2.0)
+            sys_ = SwitchedSystem(sys_.modes + (other,), sys_.norm)
+            message = f"state domain {(lo, hi)} does not match mode domain {other.domain}"
+        bad = sys_.n_modes - 1
+        segments = list(sig.segments)
+        if at < len(segments):  # the refusing mode's first piece: a segment, or the tail
+            segments[at] = (bad, segments[at][1])
+            sig = SwitchingSignal(tuple(segments), sig.tail_mode)
+        else:
+            at = len(segments)
+            sig = SwitchingSignal(tuple(segments), bad)
+        start = sum(d for _, d in segments[:at])
+        for t in times + [start, start + 1e-9 * (hi - lo)]:
+            got = outcome(evolve, sys_, sig, t, f)
+            assert got == outcome(walked, sys_, sig, t, f)
+            remaining = t  # what is left after the pieces before it, as walk counts
+            for _, d in segments[:at]:
+                remaining -= min(d, remaining)
+            assert (got == message) == (remaining > 0.0)

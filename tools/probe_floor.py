@@ -10,9 +10,11 @@ sample's slowdown (its mean probe time over NOMINAL_PROBE_S), its headroom
 pass) and the sample's file; then how many of its probed samples ran under
 the floor, how many ran at it or one probe above it, and the smallest sample
 task_s as the sample recorded it.  Traced samples run no probe and are
-skipped.
+skipped.  Given two or more RUNS_DIRs (say, a parent run and a change run),
+it prints each directory's name and then its lines, indented, in the order
+given; a directory without a probed sample is an error.
 
-    python3 tools/probe_floor.py [RUNS_DIR]
+    python3 tools/probe_floor.py [RUNS_DIR...]
 """
 
 import ast
@@ -33,9 +35,8 @@ def run_constant(name, run_py=RUN_PY):
     sys.exit(f"no {name} assignment in {run_py}")
 
 
-def main(argv):
-    runs = Path(argv[0] if argv else ".perfbench_runs")
-    nominal, floor = run_constant("NOMINAL_PROBE_S"), run_constant("MIN_PROBES")
+def report(runs: Path, nominal: float, floor: int) -> list:
+    """The lines for the probed samples under ``runs``, one per workload."""
     samples = {}  # workload -> [(probes, mean probe time, task_s, path)]
     for path in sorted(runs.glob("*/w*.result.json")):
         result = json.loads(path.read_text())
@@ -46,15 +47,28 @@ def main(argv):
                 (len(probes), statistics.mean(probes), result["task_s"], path))
     if not samples:
         sys.exit(f"no sample with probe times under {runs}")
+    lines = []
     for workload, rows in sorted(samples.items()):
         n, mean_s, _, path = min(rows, key=lambda row: row[0])
         under = sum(row[0] < floor for row in rows)
         near = sum(floor <= row[0] <= floor + 1 for row in rows)
-        print(f"{workload}: {n} probes at slowdown {mean_s / nominal:.2f}, "
-              f"headroom {n / floor:.2f}x over the {floor}-probe floor "
-              f"({path.parent.name}/{path.name}); of {len(rows)} samples {under} ran "
-              f"under the floor and {near} at it or one probe above; "
-              f"smallest task_s {min(row[2] for row in rows):.4f} s")
+        lines.append(f"{workload}: {n} probes at slowdown {mean_s / nominal:.2f}, "
+                     f"headroom {n / floor:.2f}x over the {floor}-probe floor "
+                     f"({path.parent.name}/{path.name}); of {len(rows)} samples {under} ran "
+                     f"under the floor and {near} at it or one probe above; "
+                     f"smallest task_s {min(row[2] for row in rows):.4f} s")
+    return lines
+
+
+def main(argv):
+    dirs = [Path(arg) for arg in argv] or [Path(".perfbench_runs")]
+    nominal, floor = run_constant("NOMINAL_PROBE_S"), run_constant("MIN_PROBES")
+    for runs in dirs:
+        lines = report(runs, nominal, floor)
+        if len(dirs) > 1:
+            print(f"{runs}:")
+            lines = [f"  {line}" for line in lines]
+        print("\n".join(lines))
 
 
 if __name__ == "__main__":
