@@ -72,7 +72,7 @@ _PARAMS = {
 EXAMPLES = tuple(_PARAMS)
 # Work limits for `_bound`, each sized on a 2-vCPU host so that the slowest
 # accepted run takes about 8 s.  simulate: each point is evolved from t = 0
-# through every piece before it, at 1.3-8.7 us a piece (transport is slowest).
+# through every piece before it, at 2.5-6.9 us a piece (transport is slowest).
 _SIMULATE_LIMIT = 1_000_000
 # certify: per sample and distinct trajectory, a norm at each point of the
 # time grid and of the growth check's 4-point grid, and 1 + 17 x modes values

@@ -5,10 +5,8 @@ a tail mode that stays active forever; signals are right-continuous and
 dwells are strictly positive (no chattering).  ``walk`` composes the mode
 semigroups segment by segment and yields every piece with its start and end
 states, and the trajectory energy sums one segment energy per piece.
-``evolve`` returns only the last state, so it hands a piecewise state from
-one transport step to the next as the kernel's lists, with ``apply``'s checks,
-and builds one state at the end.  On dyadic transport data the composition
-is exact, so the concatenation law
+``evolve`` returns only the last state, built once from the kernel's lists.
+On dyadic transport data the composition is exact, so the concatenation law
 
     evolve(sig, t + s, x) == evolve(shift_signal(sig, s), t, evolve(sig, s, x))
 
@@ -48,7 +46,7 @@ from .semigroups import (
     mode_from_json,
     mode_state_kind,
 )
-from .state_space import NormSpec, PiecewiseConstantFn, _check_structure, state_norm
+from .state_space import NormSpec, PiecewiseConstantFn, state_norm
 
 __all__ = [
     "SwitchingSignal",
@@ -215,10 +213,10 @@ def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
 def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
     """Apply the switched evolution operator of ``sig`` for duration ``t``.
 
-    Equals ``walk``'s last ``end`` (``x`` itself when ``t == 0``).  A piecewise
-    state goes through the transport steps as break and value lists, each
-    step's lists checked as ``apply`` checks its result, and is built once at
-    the end; any other mode or state goes through ``apply``.
+    Equals ``walk``'s last ``end`` (``x`` itself when ``t == 0``).  A mode id is
+    resolved, and a transport mode's domain checked, at the id's first piece.
+    A piecewise state crosses transport steps as the kernel's canonical lists
+    and is built once, by ``_from_floats``; other steps go through ``apply``.
     """
     if not isinstance(x, PiecewiseConstantFn):
         for mode_id, step in _pieces(sig, t):
@@ -226,21 +224,23 @@ def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
         return x
     lo, hi = x.domain
     breaks, values, state = x.breaks, x.values, x  # state is None while only the lists hold it
+    modes = {}  # mode id -> (mode, whether _transport moves it), checked at the id's first piece
     for mode_id, step in _pieces(sig, t):
-        mode = sys.mode(mode_id)
-        if isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
-            _check_domain(mode, lo, hi)
+        if mode_id not in modes:
+            mode = sys.mode(mode_id)
+            if moves := isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
+                _check_domain(mode, lo, hi)
+            modes[mode_id] = mode, moves
+        mode, moves = modes[mode_id]
+        if moves:
             breaks, values = _transport(mode, step, lo, hi, breaks, values)
-            _check_structure(lo, hi, breaks, values)
             state = None
-        else:
-            if state is None:
-                state = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
-            state = apply(mode, step, state)
-            breaks, values = state.breaks, state.values
-    if state is None:
-        state = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
-    return state
+            continue
+        if state is None:
+            state = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
+        state = apply(mode, step, state)
+        breaks, values = state.breaks, state.values
+    return state or PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
 
 
 def shift_signal(sig: SwitchingSignal, s: float) -> SwitchingSignal:

@@ -1,11 +1,14 @@
 """The transport kernel and the closed-form transport energies, checked
 against a copy of the sample-then-canonicalize kernel they replace and
 against Gauss quadrature of the evolved norm; the internal constructor
-the kernels build their states with, checked against the public one; and
-``evolve``'s list-carrying transport steps, checked against ``walk``."""
+the kernels build their states with, checked against the public one;
+``evolve``'s list-carrying transport steps, checked against ``walk``; the
+kernel's lists chained from step to step, which ``evolve`` does not check;
+and ``evolve``'s lookup and domain check of each mode, once per call."""
 
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +30,11 @@ from swlyap import (
     matrix_mode,
     trajectory_cost,
 )
+from swlyap import switching
 from swlyap.lyapunov import _mean_pow
-from swlyap.semigroups import transport_events
-from swlyap.state_space import lp_norm_pow
-from swlyap.switching import walk
+from swlyap.semigroups import _check_domain, _transport, transport_events
+from swlyap.state_space import _check_structure, lp_norm_pow
+from swlyap.switching import _pieces, walk
 
 DENOM = 64
 
@@ -486,3 +490,65 @@ class TestEvolveCarriesLists:
             for _, d in segments[:at]:
                 remaining -= min(d, remaining)
             assert (got == message) == (remaining > 0.0)
+
+
+class TestChainedKernelLists:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(switched_case())
+    def test_each_steps_lists_are_canonical(self, case):
+        # evolve hands _transport's lists to the next step without checking them
+        sys_, sig, f, times = case
+        lo, hi = f.domain
+        breaks, values = f.breaks, f.values
+        for mode_id, step in _pieces(sig, max(times)):
+            mode = sys_.mode(mode_id)
+            if isinstance(mode, DiagonalGroupMode):
+                out = apply(mode, step, PiecewiseConstantFn._from_floats(
+                    lo, hi, tuple(breaks), tuple(values)))
+                breaks, values = out.breaks, out.values
+                continue
+            breaks, values = _transport(mode, step, lo, hi, breaks, values)
+            _check_structure(lo, hi, breaks, values)
+            assert all(a != b for a, b in zip(values, values[1:]))
+            built = PiecewiseConstantFn._from_floats(lo, hi, tuple(breaks), tuple(values))
+            assert canonicalize(built) is built
+
+
+class TestEvolveChecksOncePerCall:
+    def counted(self, monkeypatch, modes):
+        """A system of ``modes`` whose ``mode`` calls, and the calls of
+        ``_check_domain`` that ``evolve`` makes, are counted by mode id."""
+        calls = {"mode": Counter(), "domain": Counter()}
+
+        class CountingSystem(SwitchedSystem):
+            def mode(self, mode_id):
+                calls["mode"][mode_id] += 1
+                return super().mode(mode_id)
+
+        sys_ = CountingSystem(modes, NormSpec(2.0))
+
+        def check_domain(mode, lo, hi):
+            calls["domain"][sys_.modes.index(mode)] += 1
+            return _check_domain(mode, lo, hi)
+
+        monkeypatch.setattr(switching, "_check_domain", check_domain)
+        return sys_, calls
+
+    def test_each_mode_once_over_twelve_segments(self, monkeypatch):
+        left = ShiftAmplifyMode(-1.0, 1.0, "left", -1.0, 0.0, 2.0)
+        right = ShiftAmplifyMode(-1.0, 1.0, "right", 0.0, 0.5, 0.5)
+        sys_, calls = self.counted(monkeypatch, (left, right))
+        sig = SwitchingSignal(tuple((k % 2, 0.125) for k in range(12)), 0)
+        f = PiecewiseConstantFn(-1.0, 1.0, (-0.5, 0.25), (1.0, -3.0, 2.0))
+        want = walked(SwitchedSystem(sys_.modes, sys_.norm), sig, 2.0, f)
+        assert bits(evolve(sys_, sig, 2.0, f)) == bits(want)
+        assert calls == {"mode": Counter({0: 1, 1: 1}), "domain": Counter({0: 1, 1: 1})}
+
+    def test_only_the_modes_reached(self, monkeypatch):
+        # the group is resolved once and never domain-checked; mode 1 is never reached
+        left = ShiftAmplifyMode(0.0, 1.0, "left", 0.0, 0.5, 2.0)
+        right = ShiftAmplifyMode(0.0, 1.0, "right", 0.5, 1.0, 2.0)
+        sys_, calls = self.counted(monkeypatch, (left, right, DiagonalGroupMode(1.0)))
+        sig = SwitchingSignal(tuple((2 * (k % 2), 0.0625) for k in range(12)) + ((1, 1.0),), 1)
+        evolve(sys_, sig, 0.75, PiecewiseConstantFn.indicator(0.0, 1.0, 0.25, 0.5))
+        assert calls == {"mode": Counter({0: 1, 2: 1}), "domain": Counter({0: 1})}
