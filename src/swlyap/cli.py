@@ -601,12 +601,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, about):
+    def command(name, about, reads=("--seed", "--horizon")):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", dest="out_dir", help="output directory (env SWLYAP_OUT overrides)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--horizon", type=float)
+        for flag in reads:  # only the flags whose fields the task reads
+            p.add_argument(flag, type={"--seed": int, "--horizon": float}[flag])
         return p
 
     command("simulate", "evolve one signal and export the trajectory").add_argument(
@@ -618,8 +618,8 @@ def main(argv=None) -> int:
     command("certify", "fit growth/decay envelopes and check conditions").add_argument(
         "--samples", type=int, dest="n_samples"
     )
-    command("gram", "build trajectory-energy operators for a family")
-    p_rep = command("reproduce", "run a pinned demonstration")
+    command("gram", "build trajectory-energy operators for a family", reads=())
+    p_rep = command("reproduce", "run a pinned demonstration", reads=("--seed",))
     p_rep.add_argument("example", choices=EXAMPLES)
     p_rep.add_argument("--delta", type=float, dest="params.delta", help="dwell for example-2.1")
     p_rep.add_argument("--n", type=int, dest="params.n", help="cascade depth for remark-3.2")

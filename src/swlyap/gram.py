@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedOperation,
     json_number,
 )
-from .semigroups import DiagonalGroupMode, MatrixMode, expm
+from .semigroups import DiagonalGroupMode, MatrixMode, _scaling, _squared, expm
 from .state_space import euclidean_state, real_array
 from .switching import SignalFamily, SwitchedSystem, SwitchingSignal, enumerate_family
 
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_ARGMAX_TOL = 1e-9
-_BLOCK_STEP_NORM = 4.0  # largest ||A||_1 h exponentiated in one block step
+_BLOCK_STEP_NORM = 4.0  # largest eta of A h exponentiated in one block step
 _MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving up
 
 
@@ -71,37 +71,32 @@ def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
 
     Exponentiates the block [[-A', Q], [0, A]] * h and combines the
     off-diagonal block with e^{A h} (Van Loan, IEEE TAC 1978).  The -A' block
-    grows like e^{||A|| h}, and the rounding error with its square, so the
-    block step keeps ||A||_1 h within _BLOCK_STEP_NORM and the integral is
-    doubled from it: G(2h) = G(h) + Phi(h)' G(h) Phi(h), Phi(2h) = Phi(h)^2.
-    A finite d is reached in exactly k doublings from h = d / 2^k; d = inf
-    doubles from a power-of-two step until a doubling leaves G unchanged.
+    grows like e^{eta h}, and the rounding error with its square, so the step
+    keeps ``_scaling``'s eta of A h within _BLOCK_STEP_NORM and the integral
+    is doubled from it: G(2h) = G(h) + Phi(h)' G(h) Phi(h), Phi(2h) squared by
+    ``_squared``.  A finite d is reached in exactly k doublings from h = d / 2^k;
+    d = inf doubles from a power-of-two step until a doubling leaves G unchanged.
     """
     n = A.shape[0]
-    norm = float(np.abs(A).sum(axis=0).max())
     settle = math.isinf(d)
+    _, eta, diag = _scaling(A, _BLOCK_STEP_NORM if settle else _BLOCK_STEP_NORM / d)
+    reach = eta if settle else eta * d
+    if not math.isfinite(reach):
+        raise EstimationError(f"eta(A) = {eta:.3g} over d = {d} leaves no finite step count")
     if settle:
-        h = 2.0 ** math.floor(math.log2(_BLOCK_STEP_NORM / norm))
+        h = 2.0 ** math.floor(math.log2(_BLOCK_STEP_NORM / eta))
         k = _MAX_DOUBLINGS
     else:
-        reach = norm * d
-        if not math.isfinite(reach):
-            raise EstimationError(f"||A||_1 d = {reach} leaves no finite step count")
         k = math.ceil(math.log2(reach / _BLOCK_STEP_NORM)) if reach > _BLOCK_STEP_NORM else 0
         h = d / 2.0**k
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -A.T
-    block[:n, n:] = Q
-    block[n:, n:] = A
-    E = expm(block * h)
-    Phi = E[n:, n:]
-    G = Phi.T @ E[:n, n:]
+    E = expm(np.block([[-A.T, Q], [np.zeros_like(A), A]]) * h)
+    Phi, G = E[n:, n:], E[n:, n:].T @ E[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for _ in range(k):
             G, prev = G + Phi.T @ G @ Phi, G
             if settle and np.array_equal(G, prev):
                 break
-            Phi = Phi @ Phi
+            Phi = _squared(Phi, diag, h := 2.0 * h)
         else:
             if settle:
                 raise EstimationError(
@@ -122,11 +117,9 @@ def lyapunov_solve(A, Q) -> np.ndarray:
     A, Q = _square(A, "A"), _square(Q, "Q")
     if A.shape != Q.shape:
         raise StructuralError("A and Q must be square matrices of the same size")
-    eigs = np.linalg.eigvals(A)
-    if np.max(eigs.real) >= -1e-12:
-        raise UnstableTailError(
-            f"matrix is not Hurwitz (max real eigenvalue {np.max(eigs.real):.3e})"
-        )
+    abscissa = np.linalg.eigvals(A).real.max()
+    if abscissa >= -1e-12:
+        raise UnstableTailError(f"matrix is not Hurwitz (max real eigenvalue {abscissa:.3e})")
     P = _energy(A, Q, math.inf)
     P = 0.5 * (P + P.T)
     # One correction, the same integral of the residual: the doubling's

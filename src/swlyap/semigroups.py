@@ -195,32 +195,41 @@ _B13 = tuple(b / 64764752532480000.0 for b in (
 ))
 
 
-def expm(A) -> np.ndarray:
-    """e^A of a square matrix by scaling and squaring (Al-Mohy and Higham,
-    SIAM J. Matrix Anal. Appl. 31, 2009).
+def _scaling(A: np.ndarray, limit: float) -> tuple:
+    """``(||A||_1, eta, diag)``, to scale A until eta is within ``limit``.  Above
+    it, eta = min(max(d_6, d_8), max(d_8, d_10)), d_k = ||A^k||_1^(1/k) <= ||A||_1
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009); else, or if a
+    power overflows, ||A||_1.  diag is A's diagonal if A is triangular, else None."""
+    diag = np.diag(A) if not (np.tril(A, -1).any() and np.triu(A, 1).any()) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(A).sum(axis=0).max())  # not finite if an entry or a column sum is not
+        if not norm > limit:
+            return norm, norm, diag
+        P8 = (P4 := (P2 := A @ A) @ P2) @ P4
+        d = [np.linalg.norm(P, 1) ** (1 / k) for P, k in ((P4 @ P2, 6), (P8, 8), (P8 @ P2, 10))]
+    eta = min(max(d[0], d[1]), max(d[1], d[2])) if np.isfinite(d).all() else norm
+    return norm, eta, diag
 
-    One approximant, [13/13] Pade from A^2, A^4 and A^6.  Above theta_13, A is
-    scaled by 2^-s and the result squared s times, with s the least that
-    brings eta = min(max(d_6, d_8), max(d_8, d_10)) within theta_13, where
-    d_k = ||A^k||_1^(1/k) <= ||A||_1: a matrix whose powers grow slowly is not
-    overscaled.  For triangular A each squaring's diagonal is recomputed as
-    exp of the scaled diagonal.  A non-finite entry in A or in e^A raises
-    EstimationError.
-    """
+
+def _squared(X: np.ndarray, diag, t: float) -> np.ndarray:
+    """e^{At} from X = e^{At/2}.  For triangular A, with diagonal ``diag``, the
+    result's diagonal is exp(t diag): s squarings would cost it 2^s ulps."""
+    X = X @ X
+    if diag is not None:
+        np.fill_diagonal(X, np.exp(diag * t))
+    return X
+
+
+def expm(A) -> np.ndarray:
+    """e^A of a square matrix: A scaled by 2^-s, with s the least that brings
+    ``_scaling``'s eta within theta_13, the [13/13] Pade approximant from A^2,
+    A^4 and A^6, and s squarings by ``_squared``.  A non-finite entry in A or
+    in e^A raises EstimationError."""
     A = np.asarray(A, dtype=float)
-    norm = float(np.abs(A).sum(axis=0).max())  # not finite iff an entry is not
+    norm, eta, diag = _scaling(A, _THETA_13)
     if not math.isfinite(norm):
         raise EstimationError("matrix exponential of a non-finite matrix")
-    eta = norm
-    if norm > _THETA_13:
-        with np.errstate(over="ignore", invalid="ignore"):
-            P4 = (P2 := A @ A) @ P2
-            P8 = P4 @ P4
-            d = [np.linalg.norm(P, 1) ** (1 / k) for P, k in ((P4 @ P2, 6), (P8, 8), (P8 @ P2, 10))]
-        if np.isfinite(d).all():  # an overflowed power keeps eta = ||A||_1
-            eta = min(max(d[0], d[1]), max(d[1], d[2]))
     s = math.ceil(math.log2(eta / _THETA_13)) if eta > _THETA_13 else 0
-    diag = np.diag(A) if not (np.tril(A, -1).any() and np.triu(A, 1).any()) else None
     A = A / 2.0**s
     b = _B13
     ident = np.eye(A.shape[0])
@@ -234,9 +243,7 @@ def expm(A) -> np.ndarray:
     X = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(s - 1, -1, -1):
-            X = X @ X
-            if diag is not None:  # triangular: squaring would cost the diagonal 2^s ulps
-                np.fill_diagonal(X, np.exp(diag * 2.0**-k))
+            X = _squared(X, diag, 2.0**-k)
     if not np.isfinite(X).all():
         raise EstimationError(f"matrix exponential is not finite (||A||_1 = {norm:.3g})")
     return X

@@ -281,6 +281,18 @@ def test_unparsable_flag_is_an_argparse_error(capsys):
     assert "--dwells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--seed", "1"],
+    ["gram", "--horizon", "2"],
+    ["reproduce", "example-2.1", "--horizon", "2"],
+], ids=["gram-seed", "gram-horizon", "reproduce-horizon"])
+def test_flags_a_task_never_reads_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_numeric_strings_are_rejected_only_where_numbers_belong():
     doc = {**BASES["certify"], "system": {**BASES["certify"]["system"],
                                           "norm": {"kind": "lp", "p": "2"}}}

@@ -3,6 +3,7 @@ import sys
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -62,6 +63,11 @@ class TestLyapunovSolve:
         for _ in range(5):
             x = rng.standard_normal(2)
             assert float(x @ P @ x) == pytest.approx(float(x @ W @ x), rel=1e-8)
+
+    def test_an_overflowing_norm_is_an_estimation_error(self):
+        # ||A||_1 overflows: the step count was log2(0), a ValueError
+        with pytest.raises(EstimationError, match="no finite step count"):
+            lyapunov_solve([[-1e308, 1e308], [0.0, -1e308]], np.eye(2))
 
     def test_rejects_non_hurwitz(self):
         with pytest.raises(UnstableTailError):
@@ -133,6 +139,70 @@ class TestSegmentEnergy:
             warnings.simplefilter("error")
             E = segment_energy([[1.0]], 355.0)
         assert E[0, 0] == pytest.approx(0.5 * math.exp(355.0) * math.exp(355.0), rel=1e-12)
+
+
+def triangular_energy(a, b, c, d, lower):
+    """integral(0, d) e^{A't} e^{At} dt of A = [[a, b], [0, c]], or of
+    [[a, 0], [b, c]] when ``lower``, at 30 digits: with e^{At} = [[p, q], [0, r]]
+    (or its lower twin), p = e^{at}, r = e^{ct} and q = b (p - r) / (a - c), or
+    b t e^{at} when a = c, every entry is a sum of integrals of t^m e^{lam t}."""
+    a, b, c, d = map(mpmath.mpf, (a, b, c, d))
+
+    def E(lam, m=0):
+        return mpmath.quad(lambda t: t**m * mpmath.exp(lam * t), [0, d])
+
+    if a == c:
+        pq = qr = b * E(2 * a, 1)
+        qq = b * b * E(2 * a, 2)
+    else:
+        pq = b * (E(2 * a) - E(a + c)) / (a - c)
+        qr = b * (E(a + c) - E(2 * c)) / (a - c)
+        qq = b * b * (E(2 * a) - 2 * E(a + c) + E(2 * c)) / (a - c) ** 2
+    pp, rr = E(2 * a), E(2 * c)
+    G = [[pp + qq, qr], [qr, rr]] if lower else [[pp, pq], [pq, qq + rr]]
+    return np.array(G, dtype=float)
+
+
+def triangular_cases(lower, top_b, n=40):
+    """n modes drawn from one seeded generator: a and c in [-3, 1], equal in
+    every fifth case, 1 <= |b| <= top_b, d in [0.25, 4]."""
+    rng = np.random.default_rng(2026)
+    for i in range(n):
+        a, c = rng.uniform(-3.0, 1.0, 2)
+        c = a if i % 5 == 0 else c
+        d = rng.uniform(0.25, 4.0)
+        b = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, math.log10(top_b))
+        yield float(a), float(b), float(c), float(d)
+
+
+class TestSegmentEnergyTriangular:
+    """Triangular 2x2 modes with a large off-diagonal b, against a 30-digit
+    reference.  ||A||_1 is about |b|, far above the growth eta of A's powers:
+    a step taken from ||A||_1 would be tiny, and the doublings would square
+    away the digits of Phi's diagonal, which rounds to 1.  No case may raise:
+    each energy is far inside the double range."""
+
+    @pytest.mark.parametrize("lower, top_b, rtol", [(False, 1e30, 1e-12), (True, 1e20, 1e-10)],
+                             ids=["upper", "lower"])
+    def test_matches_the_reference(self, lower, top_b, rtol):
+        for a, b, c, d in triangular_cases(lower, top_b):
+            A = [[a, 0.0], [b, c]] if lower else [[a, b], [0.0, c]]
+            try:
+                got = segment_energy(A, d)
+            except EstimationError as exc:
+                pytest.fail(f"A = {A}, d = {d} raised {exc}")
+            want = triangular_energy(a, b, c, d, lower)
+            assert np.all(np.abs(got - want) <= rtol * np.abs(want)), (A, d)
+
+    @pytest.mark.parametrize("a, b, c, d, lower", [
+        (1.0, 1e20, 1.0, 1.0, False),
+        (-1.0, 1e30, -2.0, 2.0, False),
+        (-0.5, 1e12, -3.0, 1.5, True),
+    ])
+    def test_named_cases(self, a, b, c, d, lower):
+        A = [[a, 0.0], [b, c]] if lower else [[a, b], [0.0, c]]
+        want = triangular_energy(a, b, c, d, lower)
+        assert np.all(np.abs(segment_energy(A, d) - want) <= 1e-13 * np.abs(want))
 
 
 class TestGramOfSignal:

@@ -1,6 +1,8 @@
 """tools/workload_artifacts.py at one seed: one directory of artifacts per
-benchmark workload and per reproduce example."""
+benchmark workload and per reproduce example, each of which passes its
+workload's own output check."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,6 +35,26 @@ def test_one_seed_writes_every_workload_and_example(tmp_path):
     assert status == [f"{name}: exit 0" for name in ARTIFACTS]
     assert {d.name: {f.name for f in d.iterdir()} for d in out.iterdir()} == ARTIFACTS
     assert not (tmp_path / "ignored").exists()
+
+
+def load_workloads():
+    """perfbench/workloads.py, imported from its file and never edited."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_five_passes_every_workload_check(tmp_path):
+    """Each workload's artifacts pass the check the benchmark applies to them:
+    an oracle miss or a wrong count would make its run incorrect.  A sample
+    that runs under the benchmark's 10-probe floor also makes a run incorrect,
+    and this test cannot see that."""
+    out = tmp_path / "out"
+    assert _run([out, 5]).returncode == 0
+    for name, workload in load_workloads().WORKLOADS.items():
+        assert workload.check(workload.make_config(5), out / f"{name}-seed5", ROOT) == [], name
 
 
 def test_usage(tmp_path):
