@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import ContractViolation, EstimationError, StructuralError, SwlyapError
 from .lyapunov import generalized_derivative
 from .state_space import state_norm
@@ -173,6 +171,7 @@ def norm_ratio_samples(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnes
 
 
 def _log_slope(samples) -> float:
+    import numpy as np
     pts = [(t, math.log(r)) for t, r, _ in samples if r > 0.0]
     if len(pts) < 2:
         raise EstimationError("not enough nonzero samples to fit an exponential")

@@ -8,6 +8,7 @@ timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -15,8 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import presets
 from .certificates import (
@@ -166,7 +165,7 @@ def _state(obj, system):
 def _gram_state(obj, system):
     """A state for ``gram``, whose argmax set is undefined at x = 0."""
     x = _state(obj, system)
-    if isinstance(x, np.ndarray) and not x.any():
+    if not isinstance(x, PiecewiseConstantFn) and not x.any():
         raise StructuralError("must be nonzero: every gram candidate ties at x = 0")
     return x
 
@@ -341,7 +340,9 @@ def _out(config, name):
 
 def _run_simulate(config: RunConfig):
     sys_, sig, x = config.system, config.signal, config.state
-    ts = [float(t) for t in np.arange(0.0, config.horizon + 0.5 * config.dt, config.dt)]
+    # np.arange(0, horizon + dt/2, dt)'s length rule and fill, without numpy
+    dt = config.dt
+    ts = [k * dt for k in range(math.ceil((config.horizon + 0.5 * dt) / dt))]
     norms = [state_norm(evolve(sys_, sig, t, x), sys_.norm) for t in ts]
     rows = [(repr(t), repr(n), sig.active_mode(t)) for t, n in zip(ts, norms)]
     _write_csv(_out(config, "trajectory.csv"), ("t", "norm", "mode_active"), rows)
@@ -368,6 +369,7 @@ def _run_worst_case(config: RunConfig):
 
 def _sample_states(sys_, n, rng):
     """Unit coordinate states, or piecewise states on a transport mode's domain."""
+    import numpy as np
     mode = _sampler(sys_)
     if isinstance(mode, MatrixMode):
         draws = (rng.standard_normal(mode.dim) for _ in range(n))
@@ -383,6 +385,7 @@ def _sample_states(sys_, n, rng):
 
 
 def _run_certify(config: RunConfig):
+    import numpy as np
     sys_, fam = config.system, config.family
     rng = np.random.default_rng(config.seed)
     samples = _sample_states(sys_, config.n_samples, rng)
@@ -494,6 +497,7 @@ def _reproduce_blowup(config: RunConfig):
 
 
 def _reproduce_cascade(config: RunConfig):
+    import numpy as np
     p, n = config.params["p"], config.params["n"]
     rng = np.random.default_rng(config.seed)
     sys6 = presets.cascade_system(max(6, n), p)
@@ -581,8 +585,14 @@ def run(config: RunConfig) -> int:
     }
     # Overflow and NaN are caught by the library's own finiteness checks, which
     # raise; numpy's warning would only print a second line before the error.
+    # Only a matrix mode runs numpy arithmetic that can warn, so a system
+    # without one runs without loading numpy for this.
+    quiet = contextlib.nullcontext()
+    if config.system is not None and any(isinstance(m, MatrixMode) for m in config.system.modes):
+        import numpy as np
+        quiet = np.errstate(over="ignore", invalid="ignore")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet:
             return runners[config.task](config)
     except (SwlyapError, OverflowError, OSError) as exc:
         print(f"error in {config.task}: {exc}", file=sys.stderr)

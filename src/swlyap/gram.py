@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     ContractViolation,
     DegenerateInputError,
@@ -57,6 +55,7 @@ _MAX_DOUBLINGS = 128  # doublings of the infinite-horizon energy before giving u
 def _square(M, name: str) -> np.ndarray:
     """``M`` as a nonempty square float matrix with finite entries.  A bare
     number is refused, as ``matrix_mode`` refuses it, not read as 1x1."""
+    import numpy as np
     need = f"{name} must be a nonempty square matrix of numbers"
     M = real_array(M, need)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
@@ -77,6 +76,7 @@ def _energy(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
     ``_squared``.  A finite d is reached in exactly k doublings from h = d / 2^k;
     d = inf doubles from a power-of-two step until a doubling leaves G unchanged.
     """
+    import numpy as np
     n = A.shape[0]
     settle = math.isinf(d)
     _, eta, diag = _scaling(A, _BLOCK_STEP_NORM if settle else _BLOCK_STEP_NORM / d)
@@ -112,8 +112,10 @@ def lyapunov_solve(A, Q) -> np.ndarray:
     Requires A Hurwitz; the result is the stationary energy operator
     integral(0, inf) e^{A' t} Q e^{A t} dt, computed by the same doubling as
     the finite segments and corrected once by the solution for its
-    residual.  The final residual is checked to 1e-10 ||Q||.
+    residual.  The final residual is checked to 1e-10 (||A|| ||P|| + ||Q||) in
+    Frobenius norms: its rounding alone scales with ||A|| ||P||.
     """
+    import numpy as np
     A, Q = _square(A, "A"), _square(Q, "Q")
     if A.shape != Q.shape:
         raise StructuralError("A and Q must be square matrices of the same size")
@@ -128,7 +130,8 @@ def lyapunov_solve(A, Q) -> np.ndarray:
     P = P + _energy(A, A.T @ P + P @ A + Q, math.inf)
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    if residual > 1e-10 * max(np.linalg.norm(Q), 1e-30):
+    scale = np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
+    if not residual <= 1e-10 * max(scale, 1e-30) < math.inf:  # NaN or overflow refuses
         raise EstimationError(f"Lyapunov residual too large: {residual:.3e}")
     return P
 
@@ -138,6 +141,7 @@ def segment_energy(A, d: float) -> np.ndarray:
     d = json_number(d, "d")
     if not (d > 0 and math.isfinite(d)):
         raise ContractViolation("segment length must be positive and finite")
+    import numpy as np
     A = _square(A, "A")
     G = _energy(A, np.eye(A.shape[0]), d)
     return 0.5 * G + 0.5 * G.T  # G + G.T may overflow where G does not
@@ -151,6 +155,7 @@ class GramOperator:
     source_signal: SwitchingSignal
 
     def __post_init__(self):
+        import numpy as np
         B = _square(self.B, "Gram operator")
         object.__setattr__(self, "B", B)
         scale = max(1.0, float(np.linalg.norm(B, 2)))
@@ -177,6 +182,7 @@ def _mode_matrix(mode, dim: int) -> np.ndarray:
     if isinstance(mode, MatrixMode):
         return mode.matrix
     if isinstance(mode, DiagonalGroupMode):
+        import numpy as np
         return -mode.mu * np.eye(dim)
     raise UnsupportedOperation("Gram operators are defined for coordinate systems only")
 
@@ -201,6 +207,7 @@ class _Assembler:
     """
 
     def __init__(self, sys: SwitchedSystem):
+        import numpy as np
         self.sys = sys
         self.dim = dim = _system_dim(sys)
         self.steps = {}
@@ -219,6 +226,7 @@ class _Assembler:
 
     def _tail(self, mode_id) -> np.ndarray:
         if mode_id not in self.tails:
+            import numpy as np
             A = self._matrix(mode_id)
             try:
                 self.tails[mode_id] = lyapunov_solve(A, np.eye(self.dim))
@@ -288,6 +296,7 @@ def argmax_set(cands: CandidateSet, x: np.ndarray, tol: float = DEFAULT_ARGMAX_T
     x = _state(cands, x)
     if not 0.0 <= tol < math.inf:  # also refuses NaN
         raise ContractViolation("tol must be finite and nonnegative")
+    import numpy as np
     if float(np.linalg.norm(x)) == 0.0:
         raise DegenerateInputError("all candidates tie at x = 0; argmax set undefined")
     vals = [c.quad(x) for c in cands]

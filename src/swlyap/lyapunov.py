@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from .errors import ContractViolation, EstimationError
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
@@ -92,6 +90,7 @@ def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -
     level that is not finite raises EstimationError: no refinement could
     converge on it.
     """
+    import numpy as np
     pieces = []
     with np.errstate(over="ignore", invalid="ignore"):
         mid = mode.exp(0.5 * d) @ x
@@ -290,6 +289,7 @@ def v_tilde(
     the same grid, the earliest on a tie.  Each distinct trajectory of the
     family is evolved once.  The horizon must be finite and nonnegative.
     """
+    import numpy as np
     if not 0.0 <= horizon < math.inf:  # also refuses NaN
         raise ContractViolation("horizon must be finite and nonnegative")
     if fam is None:
@@ -312,6 +312,7 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) ->
     Evaluates integral(0, horizon) of max over s in [0, tau] of
     e^{2 mu (s - tau)} ||T(s) x||^2, by a running-max recursion over the grid.
     """
+    import numpy as np
     if not 0.0 < mu < math.inf:  # also refuses NaN
         raise ContractViolation("mu must be positive and finite")
     if not 0.0 <= horizon < math.inf:
@@ -333,9 +334,10 @@ def generalized_derivative(
     """Difference-quotient estimate of the generalized derivative along one mode.
 
     ``v`` is any evaluator mapping states to values.  The result is the minimum
-    of (v(T_j(t)x) - v(x)) / t over DERIVATIVE_STEPS, t = 2^-4 down to 2^-20,
-    which upper-bounds the liminf as t tends to 0: the conservative direction
-    when checking a decay condition of the form <= -||x||^2.  ``v0`` is
+    of (v(T_j(t)x) - v(x)) / t over DERIVATIVE_STEPS, t = 2^-4 down to 2^-20.
+    It bounds no limit: it is at most the smallest step's quotient, so a coarse
+    step whose quotient is negative passes a decay check <= -||x||^2 while v
+    increases along the mode (ROADMAP item 18).  ``v0`` is
     ``v(x)`` when the caller already holds it; when None it is evaluated here,
     so ``v`` runs once per step plus once for x.
     """

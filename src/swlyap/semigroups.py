@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     ContractViolation,
     EstimationError,
@@ -77,6 +75,7 @@ class MatrixMode:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        import numpy as np
         a = np.array(self.rows, dtype=float)
         a.setflags(write=False)
         return a
@@ -200,6 +199,7 @@ def _scaling(A: np.ndarray, limit: float) -> tuple:
     it, eta = min(max(d_6, d_8), max(d_8, d_10)), d_k = ||A^k||_1^(1/k) <= ||A||_1
     (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009); else, or if a
     power overflows, ||A||_1.  diag is A's diagonal if A is triangular, else None."""
+    import numpy as np
     diag = np.diag(A) if not (np.tril(A, -1).any() and np.triu(A, 1).any()) else None
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.abs(A).sum(axis=0).max())  # not finite if an entry or a column sum is not
@@ -214,6 +214,7 @@ def _scaling(A: np.ndarray, limit: float) -> tuple:
 def _squared(X: np.ndarray, diag, t: float) -> np.ndarray:
     """e^{At} from X = e^{At/2}.  For triangular A, with diagonal ``diag``, the
     result's diagonal is exp(t diag): s squarings would cost it 2^s ulps."""
+    import numpy as np
     X = X @ X
     if diag is not None:
         np.fill_diagonal(X, np.exp(diag * t))
@@ -225,6 +226,7 @@ def expm(A) -> np.ndarray:
     ``_scaling``'s eta within theta_13, the [13/13] Pade approximant from A^2,
     A^4 and A^6, and s squarings by ``_squared``.  A non-finite entry in A or
     in e^A raises EstimationError."""
+    import numpy as np
     A = np.asarray(A, dtype=float)
     norm, eta, diag = _scaling(A, _THETA_13)
     if not math.isfinite(norm):
@@ -330,6 +332,7 @@ def apply(mode, t: float, x):
     if not 0.0 <= t < math.inf:  # also refuses NaN
         raise ContractViolation("evolution time must be finite and nonnegative")
     if isinstance(mode, MatrixMode):
+        import numpy as np
         if not isinstance(x, np.ndarray):
             raise StructuralError("matrix modes act on coordinate states")
         if x.shape != (mode.dim,):
@@ -339,14 +342,15 @@ def apply(mode, t: float, x):
         return mode.exp(t) @ x
     if isinstance(mode, DiagonalGroupMode):
         scale = math.exp(-mode.mu * t)
-        if isinstance(x, np.ndarray):
-            return x * scale
         if isinstance(x, PiecewiseConstantFn):
             return canonicalize(
                 PiecewiseConstantFn._from_floats(
                     x.domain_lo, x.domain_hi, x.breaks, tuple(v * scale for v in x.values)
                 )
             )
+        import numpy as np
+        if isinstance(x, np.ndarray):
+            return x * scale
         raise StructuralError(f"unknown state type {type(x).__name__}")
     if isinstance(mode, (ShiftAmplifyMode, HalfLineShiftMode)):
         if not isinstance(x, PiecewiseConstantFn):

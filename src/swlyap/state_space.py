@@ -18,8 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
 
-import numpy as np
-
 from .errors import (
     InvalidStateError,
     StructuralError,
@@ -260,6 +258,7 @@ def lp_norm(f: PiecewiseConstantFn, spec: NormSpec) -> float:
 def real_array(value, need: str) -> np.ndarray:
     """``value`` as a float array when it holds real numbers only (not booleans,
     complex numbers, strings or a ragged nesting); else ``StructuralError(need)``."""
+    import numpy as np
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):  # a ragged nesting
@@ -271,6 +270,7 @@ def real_array(value, need: str) -> np.ndarray:
 
 def euclidean_state(coords) -> np.ndarray:
     """Validate and normalize a coordinate state to a float 1-D array."""
+    import numpy as np
     need = "coords: must be a nonempty 1-D vector of numbers"
     x = real_array(coords, need)
     if x.ndim != 1 or x.size < 1:
@@ -296,6 +296,7 @@ def state_norm(x, spec: NormSpec) -> float:
     """Norm of a state under ``spec``, dispatching on the state kind."""
     if isinstance(x, PiecewiseConstantFn):
         return lp_norm(x, spec)
+    import numpy as np
     if isinstance(x, np.ndarray):
         if spec.kind != "euclidean":
             raise StructuralError("coordinate states require a Euclidean norm spec")

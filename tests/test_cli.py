@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from swlyap import lyapunov
@@ -82,6 +84,26 @@ class TestSimulate:
             assert abs(n - math.exp(-t)) <= 1e-10
         summary = json.loads(read(tmp_path / "summary.json"))
         assert summary["final_norm"] == pytest.approx(math.exp(-5.0), rel=1e-9)
+
+    def test_grid_is_numpys_arange(self, tmp_path):
+        # the k * dt grid, element for element, on dyadic and decimal steps and
+        # on horizons at, between and half a step past grid points
+        raw = {"task": "simulate", "system": {"modes": [{"kind": "diagonal_group", "mu": 1.0}],
+                                              "norm": {"kind": "lp", "p": 2.0}},
+               "signal": {"segments": [], "tail": 0},
+               "state": {"domain": [0.0, 1.0], "breaks": [], "values": [1.0]},
+               "out_dir": str(tmp_path)}
+        rng = random.Random(26)
+        for dt in (0.01, 0.1, 1 / 3, 0.25, 2.0**-7, 0.00390625):
+            for _ in range(50):
+                k = rng.randint(1, 1000)
+                horizon = rng.choice([k * dt, (k + 0.5) * dt, round(k * dt, 2) or dt, k / 64,
+                                      rng.uniform(dt, 1000 * dt)])
+                cfg, errors = validate_config({**raw, "horizon": horizon, "dt": dt})
+                assert errors == [] and run(cfg) == 0
+                with open(tmp_path / "trajectory.csv") as fh:
+                    ts = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+                assert ts == [float(t) for t in np.arange(0.0, horizon + 0.5 * dt, dt)], (horizon, dt)
 
 
 class TestWorstCase:

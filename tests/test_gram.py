@@ -64,6 +64,27 @@ class TestLyapunovSolve:
             x = rng.standard_normal(2)
             assert float(x @ P @ x) == pytest.approx(float(x @ W @ x), rel=1e-8)
 
+    @pytest.mark.parametrize("b", [1e4, 1e8, 1e12])
+    def test_non_normal_closed_form(self, b):
+        # the residual's rounding scales with ||A|| ||P||, far above 1e-10 ||Q||
+        P = lyapunov_solve([[-1.0, b], [0.0, -1.0]], np.eye(2))
+        want = np.array([[0.5, b / 4], [b / 4, b * b / 4 + 0.5]])
+        assert np.all(np.abs(P - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("A", [[[-1.0, 1.0], [0.0, -2.0]], [[-1.0, 1e4], [0.0, -1.0]]])
+    def test_perturbed_solution_is_refused(self, A, monkeypatch):
+        # the correction comes back off by 1e-6 ||P|| in a fixed symmetric direction
+        energy, first = gram._energy, []
+
+        def perturbed(*args):
+            G = energy(*args)
+            first.append(G)
+            return G if len(first) == 1 else G + 1e-6 * np.linalg.norm(first[0]) * np.eye(2)[::-1]
+
+        monkeypatch.setattr(gram, "_energy", perturbed)
+        with pytest.raises(EstimationError, match="Lyapunov residual too large"):
+            lyapunov_solve(A, np.eye(2))
+
     def test_an_overflowing_norm_is_an_estimation_error(self):
         # ||A||_1 overflows: the step count was log2(0), a ValueError
         with pytest.raises(EstimationError, match="no finite step count"):

@@ -19,6 +19,7 @@ from swlyap import (
     SwitchingSignal,
     apply,
     augment_system,
+    distinct_trajectories,
     enumerate_family,
     euclidean_state,
     evolve,
@@ -37,6 +38,7 @@ from swlyap import (
     v_tilde_single_mode,
 )
 from swlyap import lyapunov, semigroups, switching
+from swlyap.certificates import _KAPPA_TOL
 from swlyap.lyapunov import DEFAULT_HORIZON, DERIVATIVE_STEPS
 from swlyap.presets import (
     blowup_transport_pair,
@@ -474,6 +476,22 @@ class TestGeneralizedDerivative:
         given = generalized_derivative(v, SCALARS, 0, x, v0=v(x))
         assert len(seen) == len(DERIVATIVE_STEPS) + 1  # the v(x) above, then one per step
         assert given == own
+
+    @pytest.mark.xfail(strict=True, reason="the minimum over the steps passes on a coarse "
+                       "negative quotient while V increases; ROADMAP item 18 makes the check "
+                       "conservative")
+    def test_fast_rotating_pair_fails_the_decrease_check(self):
+        # certify's evaluator at x = (0.6, 0.8): mode 0's minimum quotient is -21.1, its
+        # quotient at t = 2^-20 +265.5; mode 1's are -119.3 and +97.4
+        sys_ = SwitchedSystem((matrix_mode([[-0.1, -20.0], [40.0, -0.1]]),
+                               matrix_mode([[-0.1, -40.0], [20.0, -0.1]])), NormSpec.euclidean())
+        fam = SignalFamily((0.5, 1.0), 1, (0, 1))
+        signals = tuple(distinct_trajectories(enumerate_family(fam)))
+        v = lambda y: family_max(sys_, signals, y, 4.0)[1]
+        x = euclidean_state([0.6, 0.8])
+        threshold = -float(x @ x) * (1.0 - _KAPPA_TOL)
+        for j in range(2):
+            assert generalized_derivative(v, sys_, j, x) > threshold
 
 
 class TestAugmentation:
