@@ -11,9 +11,8 @@ is exact given its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
-from .errors import ContractViolation, EstimationError, StructuralError, SwlyapError
+from .errors import ContractViolation, EstimationError, Record, StructuralError, SwlyapError
 from .lyapunov import generalized_derivative
 from .state_space import state_norm
 from .switching import (
@@ -47,8 +46,7 @@ _GROWTH_CHECK_GRID = (0.5, 1.0, 2.0, 4.0)  # times at which a growth envelope is
 _T1_FACTOR = 1.01  # the Datko horizon t1 as a multiple of the dwell scale t0
 
 
-@dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(Record):
     """Uniform exponential growth envelope: operator norms <= M e^{omega t}."""
 
     M: float
@@ -65,12 +63,10 @@ class GrowthBound:
     def at(self, t: float) -> float:
         return self.M * math.exp(self.omega * t)
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = Record._asdict
 
 
-@dataclass(frozen=True)
-class DecayBound:
+class DecayBound(Record):
     """Uniform exponential decay envelope: operator norms <= K e^{-mu t}."""
 
     K: float
@@ -87,12 +83,10 @@ class DecayBound:
     def at(self, t: float) -> float:
         return self.K * math.exp(-self.mu * t)
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = Record._asdict
 
 
-@dataclass(frozen=True)
-class NormEquivalence:
+class NormEquivalence(Record):
     """Two-sided comparability c ||x||^2 <= V(x) <= C ||x||^2."""
 
     c: float
@@ -104,12 +98,10 @@ class NormEquivalence:
         if not (0 < self.c <= self.C and math.isfinite(self.C)):
             raise StructuralError("need 0 < c <= C")
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = Record._asdict
 
 
-@dataclass(frozen=True)
-class DatkoCertificate:
+class DatkoCertificate(Record):
     """The full constant chain of the integral-to-exponential argument.
 
     From a uniform trajectory bound k and an integral constant C_int with
@@ -132,12 +124,10 @@ class DatkoCertificate:
     def decay(self) -> DecayBound:
         return DecayBound(max(self.K, 1.0), self.mu)
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = Record._asdict
 
 
-@dataclass(frozen=True)
-class FitRefusal:
+class FitRefusal(Record):
     """Returned by fit_decay when the sampled norms do not decay."""
 
     reason: str
@@ -147,7 +137,7 @@ class FitRefusal:
 
     def to_json(self) -> dict:
         signal = self.signal.to_json() if self.signal is not None else None
-        return {**asdict(self), "refused": True, "signal": signal}
+        return {**self._asdict(), "refused": True, "signal": signal}
 
 
 def norm_ratio_samples(sys: SwitchedSystem, fam: SignalFamily, time_grid, witnesses) -> list:
@@ -282,8 +272,7 @@ def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> Dec
     return DecayBound(K, mu)
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(Record, frozen=False):
     """Summary of which stability conditions the sampled evidence supports.
 
     supports['B'] means: upper comparability of the functional plus the
@@ -301,8 +290,8 @@ class ConditionReport:
     derivative_ok: bool = False
     growth: GrowthBound | None = None
     growth_ok: bool | None = None
-    supports: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    supports: dict = {}
+    notes: list = []
 
     def equivalence(self) -> NormEquivalence:
         if self.c_hat is None or self.C_hat is None:
@@ -310,7 +299,8 @@ class ConditionReport:
         return NormEquivalence(self.c_hat, self.C_hat)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "kappa_tol": _KAPPA_TOL, "provenance": EMPIRICAL_PROVENANCE}
+        return {**self._asdict(), "growth": self.growth and self.growth.to_json(),
+                "kappa_tol": _KAPPA_TOL, "provenance": EMPIRICAL_PROVENANCE}
 
 
 def condition_report(

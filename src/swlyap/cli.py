@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import presets
@@ -28,7 +26,7 @@ from .certificates import (
     gronwall_certificate,
     norm_ratio_samples,
 )
-from .errors import StructuralError, SwlyapError, under
+from .errors import Record, StructuralError, SwlyapError, under
 from .gram import _system_dim, argmax_set, candidates_from_family, v_max
 from .lyapunov import family_max, trajectory_cost, v_sup
 from .semigroups import MatrixMode, ShiftAmplifyMode, apply
@@ -95,8 +93,7 @@ _ENUMERATION_PIECES = 1_000_000
 _CERTIFY_MIN_HORIZON = 0.5
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record, frozen=False):
     task: str
     system: SwitchedSystem | None = None
     signal: SwitchingSignal | None = None
@@ -107,7 +104,7 @@ class RunConfig:
     seed: int = 0
     n_samples: int = 5
     example: str | None = None
-    params: dict = field(default_factory=dict)
+    params: dict = {}
     out_dir: str = "."
 
 
@@ -324,6 +321,7 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
+    import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the field checks of its JSON
-readers and constructors.  A reader's error starts with the path of the field at
-fault within the object read, as in ``segments[1].dwell: ...``; a boolean is
-never a number, and a numpy scalar is one of its Python kind."""
+"""Exception types, the field checks of the JSON readers and constructors, and the
+records' base class, shared across the package.  A reader's error starts with the
+path of the field at fault within the object read, as in ``segments[1].dwell:
+...``; a boolean is never a number, and a numpy scalar is one of its Python kind."""
 
 import re
 from numbers import Integral, Real
@@ -10,7 +10,7 @@ __all__ = [
     "SwlyapError", "StructuralError", "InvalidStateError", "ContractViolation",
     "UnsupportedOperation", "FamilySizeError", "EstimationError", "UnstableTailError",
     "DegenerateInputError", "under", "read_at", "json_object", "json_number",
-    "json_integer", "json_list",
+    "json_integer", "json_list", "Record",
 ]
 
 
@@ -115,3 +115,58 @@ def json_list(value, path: str, read, need: str, length: int | None = None) -> l
     if items is None or length is not None and len(items) != length:
         raise StructuralError(f"{path}: must be {need}")
     return [read(item, f"{path}[{i}]") for i, item in enumerate(items)]
+
+
+class Record:
+    """Base of every record in the package, none of which imports ``dataclasses``.
+
+    A subclass declares its fields as annotations, in constructor order, with any
+    defaults (a dict or list one is copied per instance).  The constructor binds them
+    and runs ``__post_init__``; a hot record may have its own.  ``==``, ``hash`` and
+    ``repr`` read the fields alone.  A record is frozen unless it says ``frozen=False``."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls, frozen: bool = True):
+        names = vars(cls).get("__annotations__", ())  # a subclass adds to its base's
+        cls._fields = (*cls._fields, *(k for k in names if k not in cls._fields))
+        cls._defaults = {**cls._defaults, **{k: vars(cls)[k] for k in names if k in vars(cls)}}
+        if not frozen:  # settable fields, and so no hash
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            kwargs.update({k: v.copy() if type(v) in (dict, list) else v
+                           for k, v in self._defaults.items() if k in rest and k not in kwargs})
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args += tuple(kwargs[k] for k in rest)
+        for name, value in zip(names, args):  # never through __dict__, so reads stay fast
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _asdict(self) -> dict:
+        return {k: getattr(self, k) for k in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):  # and __delattr__, on a frozen record
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

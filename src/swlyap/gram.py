@@ -19,12 +19,12 @@ max over tied maximizers of 2 <psi, B x>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ContractViolation,
     DegenerateInputError,
     EstimationError,
+    Record,
     StructuralError,
     UnstableTailError,
     UnsupportedOperation,
@@ -147,8 +147,7 @@ def segment_energy(A, d: float) -> np.ndarray:
     return 0.5 * G + 0.5 * G.T  # G + G.T may overflow where G does not
 
 
-@dataclass(frozen=True)
-class GramOperator:
+class GramOperator(Record):
     """Symmetric PSD operator whose quadratic form is a signal's trajectory energy."""
 
     B: np.ndarray
@@ -280,8 +279,7 @@ def v_max(cands: CandidateSet, x: np.ndarray) -> float:
     return max(c.quad(x) for c in cands)
 
 
-@dataclass(frozen=True)
-class ArgmaxSet:
+class ArgmaxSet(Record):
     """Indices of the candidates attaining the max, up to a relative tolerance."""
 
     indices: tuple

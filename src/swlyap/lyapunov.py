@@ -19,9 +19,8 @@ memo (``MatrixMode.exp``), so every evaluation on one system shares them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
 
-from .errors import ContractViolation, EstimationError
+from .errors import ContractViolation, EstimationError, Record
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
 from .switching import (
@@ -54,8 +53,7 @@ _REFINE_MAX_EVALS = 60  # energy evaluations of one v_sup dwell refinement
 DERIVATIVE_STEPS = tuple(2.0**-k for k in range(4, 21))  # generalized_derivative's quotient steps
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(Record):
     """Value of a worst-case functional at one state.
 
     ``value`` is a lower bound of the true supremum over all signals: the
@@ -69,7 +67,7 @@ class LyapunovEstimate:
     kind: str = "V"
 
     def to_json(self) -> dict:
-        return {**asdict(self), "witness": self.witness.to_json(), "bound_direction": "lower"}
+        return {**self._asdict(), "witness": self.witness.to_json(), "bound_direction": "lower"}
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -355,4 +353,4 @@ def augment_system(sys: SwitchedSystem, mu: float) -> SwitchedSystem:
     """
     if mu <= 0:
         raise ContractViolation("mu must be positive")
-    return replace(sys, modes=sys.modes + (DiagonalGroupMode(mu),))
+    return SwitchedSystem(sys.modes + (DiagonalGroupMode(mu),), sys.norm)

@@ -28,12 +28,12 @@ lives and dies with the mode.  No module-level state changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
     ContractViolation,
     EstimationError,
+    Record,
     StructuralError,
     json_list,
     json_number,
@@ -58,8 +58,7 @@ __all__ = [
 _EXP_MEMO_MAX = 4096  # exponentials one MatrixMode keeps; a full memo is cleared
 
 
-@dataclass(frozen=True)
-class MatrixMode:
+class MatrixMode(Record):
     """Finite-dimensional mode x' = Ax, evolved by the matrix exponential."""
 
     rows: tuple
@@ -104,8 +103,7 @@ def matrix_mode(A) -> MatrixMode:
     return MatrixMode(A)
 
 
-@dataclass(frozen=True)
-class ShiftAmplifyMode:
+class ShiftAmplifyMode(Record):
     """Transport on [domain_lo, domain_hi] with once-per-crossing amplification.
 
     direction "left" moves mass toward domain_lo; the crossing edge is
@@ -144,8 +142,7 @@ class ShiftAmplifyMode:
         return (self.domain_lo, self.domain_hi)
 
 
-@dataclass(frozen=True)
-class DiagonalGroupMode:
+class DiagonalGroupMode(Record):
     """The scalar group T(t) = e^{-mu t} I, defined for all real t."""
 
     mu: float
@@ -156,8 +153,7 @@ class DiagonalGroupMode:
             raise StructuralError("mu: must be positive and finite")
 
 
-@dataclass(frozen=True)
-class HalfLineShiftMode:
+class HalfLineShiftMode(Record):
     """Left translation (T(t)f)(s) = f(s+t) on the half line, truncated at 0.
 
     This is left transport on the state's own domain [0, hi] with its edge at

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import le
 
 from .errors import (
     InvalidStateError,
+    Record,
     StructuralError,
     json_list,
     json_number,
@@ -61,8 +61,7 @@ def _check_structure(lo: float, hi: float, breaks: tuple, values: tuple) -> None
     raise StructuralError("breakpoints must lie within the domain")
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantFn:
+class PiecewiseConstantFn(Record):
     """A real function on [domain_lo, domain_hi] that is constant between breakpoints.
 
     ``values[i]`` is the value on the half-open piece ``[edge_i, edge_{i+1})``
@@ -92,7 +91,7 @@ class PiecewiseConstantFn:
 
     @classmethod
     def _from_floats(cls, lo: float, hi: float, breaks: tuple, values: tuple):
-        """The constructor's check without its float conversion or dataclass ``__init__``."""
+        """The constructor's structure check, without ``__init__`` or its float conversion."""
         _check_structure(lo, hi, breaks, values)
         f = object.__new__(cls)
         f.__dict__.update(domain_lo=lo, domain_hi=hi, breaks=breaks, values=values)
@@ -169,8 +168,7 @@ class PiecewiseConstantFn:
         return cls(lo, hi, obj["breaks"], obj["values"])
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class NormSpec(Record):
     """Which norm the state space carries.
 
     ``kind == "lp"`` means the L^p norm with exponent ``p`` on piecewise

@@ -22,12 +22,12 @@ signal's trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
     ContractViolation,
     FamilySizeError,
+    Record,
     StructuralError,
     json_integer,
     json_list,
@@ -62,19 +62,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwitchingSignal:
+class SwitchingSignal(Record):
     """(mode, dwell) segments followed by a tail mode active forever.
 
     Errors name the offending field as a path, e.g. ``segments[1].dwell``.
     """
 
-    segments: tuple = ()
-    tail_mode: int = 0
+    segments: tuple
+    tail_mode: int
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple = (), tail_mode: int = 0):  # its own: a hot record
         try:
-            items = enumerate(self.segments)
+            items = enumerate(segments)
         except TypeError:
             raise StructuralError("segments: must be a sequence of (mode, dwell) pairs") from None
         segs = []
@@ -91,7 +90,7 @@ class SwitchingSignal:
                 raise StructuralError(f"segments[{i}]: must be a (mode, dwell) pair") from None
             segs.append((m, d))
         object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "tail_mode", _mode_id(self.tail_mode, "tail"))
+        object.__setattr__(self, "tail_mode", _mode_id(tail_mode, "tail"))
 
     def active_mode(self, t: float) -> int:
         """Mode active at time t (right-continuous)."""
@@ -141,8 +140,7 @@ def _segment(value, path):
     return json_integer(value[0], f"{path}.mode"), json_number(value[1], f"{path}.dwell")
 
 
-@dataclass(frozen=True)
-class SwitchedSystem:
+class SwitchedSystem(Record):
     """An ordered list of modes sharing one state-space kind, plus its norm."""
 
     modes: tuple
@@ -284,8 +282,7 @@ DEFAULT_MAX_SWITCHES = 2
 _ENUMERATION_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
-class SignalFamily:
+class SignalFamily(Record):
     """Finite grid of signals: all mode words with dwells from a fixed grid."""
 
     dwell_grid: tuple

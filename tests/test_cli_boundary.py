@@ -1,7 +1,6 @@
 """The CLI boundary: every malformed config exits 2 with its field path, every
 numerical failure exits 1 with a message, and none prints a traceback."""
 
-import dataclasses
 import json
 import math
 import os
@@ -506,7 +505,7 @@ def _replace(doc, path, value):
 
 
 # Every error starts with the path of a config field ...
-FIELD_PATH = re.compile("(%s)[.[:]" % "|".join(f.name for f in dataclasses.fields(RunConfig)))
+FIELD_PATH = re.compile("(%s)[.[:]" % "|".join(vars(RunConfig("simulate"))))
 # ... and none carries Python's own words for a value of the wrong type.
 PYTHON_TEXT = ("argument must be", "could not convert", "cannot unpack", "object is not",
                "has no attribute", "not iterable")

@@ -1,10 +1,12 @@
-"""Transport tasks start without numpy.
+"""Transport tasks start without numpy, and no task loads `dataclasses`.
 
 `import swlyap` and `import swlyap.cli` load no numpy, and neither does a task
 on piecewise states: `simulate` and `worst-case` on the golden transport
 configs, and `reproduce example-2.1` and `half-line-shift`.  A matrix task loads
-numpy at its first matrix call.  Each run is a fresh interpreter, since the test
-process has numpy loaded already.
+numpy at its first matrix call.  The records are plain classes, so neither the
+imports nor any task load `dataclasses` or its `inspect`; numpy imports
+`inspect` itself, so only a run without numpy is free of it.  Each run is a
+fresh interpreter, since the test process has numpy loaded already.
 """
 
 import json
@@ -26,16 +28,20 @@ COMMUTING_CERTIFY = {
 }
 
 # Runs `main` on each (name, argv) of argv[1] in order and prints, as one JSON
-# line, whether numpy was loaded after the imports and after each run.
+# line, which of numpy, dataclasses and inspect were loaded after each import
+# and after each run.
 SCRIPT = """
 import json, sys
+def loaded():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
 import swlyap
+seen = {"import swlyap": loaded()}
 import swlyap.cli
-loaded = {"import": "numpy" in sys.modules}
+seen["import swlyap.cli"] = loaded()
 for name, argv in json.loads(sys.argv[1]):
     assert swlyap.cli.main(argv) == 0, name
-    loaded[name] = "numpy" in sys.modules
-print(json.dumps(loaded))
+    seen[name] = loaded()
+print(json.dumps(seen))
 """
 
 
@@ -58,5 +64,6 @@ def test_transport_tasks_never_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": False, "worst-case": False, "simulate": False,
-                      "example-2.1": False, "half-line-shift": False, "certify": True}
+    assert loaded == {"import swlyap": [], "import swlyap.cli": [], "worst-case": [],
+                      "simulate": [], "example-2.1": [], "half-line-shift": [],
+                      "certify": ["numpy", "inspect"]}
