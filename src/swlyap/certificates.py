@@ -272,7 +272,7 @@ def gronwall_certificate(eq: NormEquivalence, conservative: bool = False) -> Dec
     return DecayBound(K, mu)
 
 
-class ConditionReport(Record, frozen=False):
+class ConditionReport(Record):
     """Summary of which stability conditions the sampled evidence supports.
 
     supports['B'] means: upper comparability of the functional plus the
@@ -290,8 +290,8 @@ class ConditionReport(Record, frozen=False):
     derivative_ok: bool = False
     growth: GrowthBound | None = None
     growth_ok: bool | None = None
-    supports: dict = {}
-    notes: list = []
+    supports: dict | None = None
+    notes: tuple = ()
 
     def equivalence(self) -> NormEquivalence:
         if self.c_hat is None or self.C_hat is None:
@@ -325,39 +325,35 @@ def condition_report(
     """
     if not samples:
         raise ContractViolation("need at least one sample state")
-    report = ConditionReport(growth=growth)
-    ratios, nonzero = [], []
-    deriv_all_ok = True
+    n_samples, ratios, nonzero, notes = 0, [], [], []
+    derivative_ok = True
     for x in samples:
         n2 = state_norm(x, sys.norm) ** 2
         if n2 == 0.0:
-            report.n_samples += 1
+            n_samples += 1
             continue
         nonzero.append(x)
         try:
             val = v(x)
             dvals = [generalized_derivative(v, sys, j, x, v0=val) for j in range(sys.n_modes)]
-            report.n_samples += 1
+            n_samples += 1
             ratios.append(val / n2)
-            deriv_all_ok = deriv_all_ok and all(d <= -n2 * (1.0 - _KAPPA_TOL) for d in dvals)
+            derivative_ok = derivative_ok and all(d <= -n2 * (1.0 - _KAPPA_TOL) for d in dvals)
         except SwlyapError as exc:  # recorded, not fatal
-            report.notes.append(f"evaluator failed on a sample: {exc}")
-            deriv_all_ok = False
-    if ratios:
-        report.c_hat = min(ratios)
-        report.C_hat = max(ratios)
-        report.upper_ok = math.isfinite(report.C_hat)
-        report.lower_ok = report.c_hat > 0.0
-    report.derivative_ok = deriv_all_ok
+            notes.append(f"evaluator failed on a sample: {exc}")
+            derivative_ok = False
+    c_hat, C_hat = min(ratios, default=None), max(ratios, default=None)
+    upper_ok = bool(ratios) and math.isfinite(C_hat)
+    lower_ok = bool(ratios) and c_hat > 0.0
+    growth_ok = None
     if growth is not None and nonzero:
         sweep = norm_ratio_samples(sys, fam, _GROWTH_CHECK_GRID, nonzero)
-        report.growth_ok = all(r <= growth.at(t) * (1.0 + 1e-9) for t, r, _ in sweep)
-    supports_c = report.upper_ok and report.lower_ok and report.derivative_ok
-    supports_b = report.upper_ok and report.derivative_ok and (report.growth_ok is True)
-    if report.upper_ok and growth is None:
-        report.notes.append(
-            "V-bound without growth bound is insufficient: upper comparability and "
-            "a decaying derivative alone do not rule out norm blow-up"
-        )
-    report.supports = {"A": supports_b or supports_c, "B": supports_b, "C": supports_c}
-    return report
+        growth_ok = all(r <= growth.at(t) * (1.0 + 1e-9) for t, r, _ in sweep)
+    supports_c = upper_ok and lower_ok and derivative_ok
+    supports_b = upper_ok and derivative_ok and (growth_ok is True)
+    if upper_ok and growth is None:
+        notes.append("V-bound without growth bound is insufficient: upper comparability and "
+                     "a decaying derivative alone do not rule out norm blow-up")
+    supports = {"A": supports_b or supports_c, "B": supports_b, "C": supports_c}
+    return ConditionReport(n_samples, c_hat, C_hat, upper_ok, lower_ok, derivative_ok, growth,
+                           growth_ok, supports, tuple(notes))

@@ -93,7 +93,7 @@ _ENUMERATION_PIECES = 1_000_000
 _CERTIFY_MIN_HORIZON = 0.5
 
 
-class RunConfig(Record, frozen=False):
+class RunConfig(Record):
     task: str
     system: SwitchedSystem | None = None
     signal: SwitchingSignal | None = None
@@ -104,7 +104,7 @@ class RunConfig(Record, frozen=False):
     seed: int = 0
     n_samples: int = 5
     example: str | None = None
-    params: dict = {}
+    params: dict | None = None  # validate_config passes the example's, {} for other tasks
     out_dir: str = "."
 
 
@@ -408,14 +408,15 @@ def _run_certify(config: RunConfig):
         "condition_report": report.to_json(),
         "bound_direction": "lower",
     }
-    if report.lower_ok and report.upper_ok:
+    if report.supports["C"]:
         eq = report.equivalence()
         doc["gronwall"] = gronwall_certificate(eq).to_json()
         doc["gronwall_conservative"] = gronwall_certificate(eq, conservative=True).to_json()
+    if report.supports["B"]:
         # k: the sampled norm ratios of the constant signals up to t = 2
         ratios = [operator_norm_witness(sys_, SwitchingSignal((), m), t, samples)
                   for m in range(sys_.n_modes) for t in time_grid[:8]]
-        datko = datko_certificate(growth, eq.C, 2.0, max([1.0, *ratios]))
+        datko = datko_certificate(growth, report.C_hat, 2.0, max([1.0, *ratios]))
         doc["datko"] = {**datko.to_json(), "provenance": "conditional on sampled k"}
     if isinstance(decay, FitRefusal):
         doc["notes"] = ["decay fit refused; system is not uniformly decaying on samples"]

@@ -121,26 +121,22 @@ class Record:
     """Base of every record in the package, none of which imports ``dataclasses``.
 
     A subclass declares its fields as annotations, in constructor order, with any
-    defaults (a dict or list one is copied per instance).  The constructor binds them
-    and runs ``__post_init__``; a hot record may have its own.  ``==``, ``hash`` and
-    ``repr`` read the fields alone.  A record is frozen unless it says ``frozen=False``."""
+    defaults, which are bound as they are and so are never a dict, list or set.  The
+    constructor binds them and runs ``__post_init__``; a hot record may have its own.
+    Every record is frozen; ``==``, ``hash`` and ``repr`` read the fields alone."""
 
     _fields, _defaults = (), {}
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         names = vars(cls).get("__annotations__", ())  # a subclass adds to its base's
         cls._fields = (*cls._fields, *(k for k in names if k not in cls._fields))
         cls._defaults = {**cls._defaults, **{k: vars(cls)[k] for k in names if k in vars(cls)}}
-        if not frozen:  # settable fields, and so no hash
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields
         if kwargs or len(args) != len(names):
             rest = names[len(args):]
-            kwargs.update({k: v.copy() if type(v) in (dict, list) else v
-                           for k, v in self._defaults.items() if k in rest and k not in kwargs})
+            kwargs = {**{k: v for k, v in self._defaults.items() if k in rest}, **kwargs}
             if len(args) > len(names) or kwargs.keys() != set(rest):
                 raise TypeError(f"{type(self).__name__}() takes the fields {names}")
             args += tuple(kwargs[k] for k in rest)
@@ -166,7 +162,7 @@ class Record:
         fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name, value=None):  # and __delattr__, on a frozen record
+    def __setattr__(self, name, value=None):  # and __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__

@@ -170,6 +170,12 @@ class GramOperator(Record):
     def quad(self, x: np.ndarray) -> float:
         return float(x @ self.B @ x)
 
+    def __eq__(self, other):  # B is an array, so the record stays unhashable
+        import numpy as np
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.source_signal == other.source_signal and np.array_equal(self.B, other.B)
+
     def to_json(self) -> dict:
         return {"B": self.B.tolist(), "source_signal": self.source_signal.to_json()}
 

@@ -176,9 +176,7 @@ def _scalar_energy(n2: float, a: float, d: float) -> float:
 
 
 def _segment_energy(sys, mode, d: float, x, end) -> float:
-    """integral(0, d) of ||T(tau) x||^2 dtau, where ``end`` is T(d) x."""
-    if d <= 0.0:
-        return 0.0
+    """integral(0, d) of ||T(tau) x||^2 dtau, where ``end`` is T(d) x; ``d`` is positive."""
     if isinstance(mode, DiagonalGroupMode):
         return _scalar_energy(state_norm(x, sys.norm) ** 2, -mode.mu, d)
     if isinstance(mode, MatrixMode):

@@ -93,8 +93,11 @@ class PiecewiseConstantFn(Record):
     def _from_floats(cls, lo: float, hi: float, breaks: tuple, values: tuple):
         """The constructor's structure check, without ``__init__`` or its float conversion."""
         _check_structure(lo, hi, breaks, values)
-        f = object.__new__(cls)
-        f.__dict__.update(domain_lo=lo, domain_hi=hi, breaks=breaks, values=values)
+        f = object.__new__(cls)  # filled as Record.__init__ fills a record
+        object.__setattr__(f, "domain_lo", lo)
+        object.__setattr__(f, "domain_hi", hi)
+        object.__setattr__(f, "breaks", breaks)
+        object.__setattr__(f, "values", values)
         return f
 
     @classmethod

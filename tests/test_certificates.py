@@ -152,6 +152,26 @@ class TestFitDecay:
         for t, r, _ in samples:
             assert r <= bound.at(t) * (1.0 + 1e-9)
 
+    def test_a_tail_of_zeros_fits_the_whole_grid(self):
+        # every norm from t_max / 10 on is 0, so the tail has no slope to refuse
+        # and the rate comes from the two nonzero samples
+        sig = SwitchingSignal((), 0)
+        samples = [(0.1, 1.0, sig), (0.5, 0.5, sig)] + [(float(t), 0.0, sig) for t in range(1, 11)]
+        bound = fit_decay(samples)
+        assert isinstance(bound, DecayBound)
+        assert bound.mu == pytest.approx(math.log(2.0) / 0.4)
+        for t, r, _ in samples:
+            assert r <= bound.at(t)
+
+    def test_a_falling_tail_after_growth_is_refused(self):
+        # the tail (t >= 1) falls, but the whole grid's log-linear fit rises
+        sig = SwitchingSignal((), 1)
+        samples = [(0.1, 1e-3, None), (0.5, 1e-2, None), (1.0, 10.0, sig), (5.0, 9.0, None),
+                   (10.0, 8.0, None)]
+        refusal = fit_decay(samples)
+        assert isinstance(refusal, FitRefusal)
+        assert refusal == FitRefusal("sampled sup norm grows over the grid", 1.0, 10.0, sig)
+
 
 # numbers across the double range, with its edges, small integers and
 # integers past the double range

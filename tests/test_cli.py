@@ -190,7 +190,36 @@ class TestDeterminism:
         assert docs[0] == docs[1]
         parsed = json.loads(docs[0])
         assert parsed["decay"]["mu"] == pytest.approx(1.0, rel=0.05)
-        assert "gronwall" in parsed
+        assert parsed["condition_report"]["supports"] == {"A": True, "B": True, "C": True}
+        assert {"gronwall", "gronwall_conservative", "datko"} <= parsed.keys()
+        assert parsed["datko"]["C_int"] == parsed["condition_report"]["C_hat"]
+
+
+class TestCertifyEnvelopes:
+    def test_no_decay_envelope_the_report_does_not_support(self, tmp_path):
+        # norms grow like e^{0.1 t} in mode 0; both comparability checks pass, but
+        # the derivative check fails, so neither converse route is supported
+        raw = {
+            "system": {"modes": [{"kind": "matrix", "A": [[0.1, 0.0], [0.0, 0.1]]},
+                                 {"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -1.0]]}]},
+            "family": {"dwells": [0.5], "max_switches": 1},
+            "n_samples": 1,
+            "horizon": 1.0,
+            "seed": 0,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads(read(tmp_path / "out" / "certificates.json"))
+        assert doc["decay"]["refused"] is True
+        assert doc["decay"]["reason"] == ("sampled sup norm is nondecreasing over the last "
+                                          "decade of the grid")
+        assert doc["decay"]["signal"] == {"segments": [], "tail": 0}
+        assert doc["notes"] == ["decay fit refused; system is not uniformly decaying on samples"]
+        report = doc["condition_report"]
+        assert report["upper_ok"] and report["lower_ok"] and not report["derivative_ok"]
+        assert report["supports"] == {"A": False, "B": False, "C": False}
+        assert not {"gronwall", "gronwall_conservative", "datko"} & doc.keys()
 
 
 class TestCertifyCost:

@@ -1,12 +1,13 @@
-"""The package's records keep the semantics of frozen and mutable dataclasses.
+"""The package's records keep the semantics of frozen dataclasses.
 
 Each record is built once by keyword, in field order, and once positionally from
-the same values, so a case pins the constructor's argument order too.  Frozen
-records compare and hash by their fields and refuse assignment; the two mutable
-ones, ``ConditionReport`` and ``RunConfig``, take assignment and are unhashable.
-Each ``repr`` reads ``Name(field=value, ...)``, as a dataclass's does.
+the same values, so a case pins the constructor's argument order too.  Every
+record compares and hashes by its fields and refuses assignment; one with a dict
+or array field is unhashable.  Each ``repr`` reads ``Name(field=value, ...)``, as
+a dataclass's does.
 """
 
+import numpy as np
 import pytest
 
 from swlyap.certificates import (
@@ -18,6 +19,7 @@ from swlyap.certificates import (
     NormEquivalence,
 )
 from swlyap.cli import RunConfig
+from swlyap.errors import Record
 from swlyap.gram import ArgmaxSet, GramOperator
 from swlyap.lyapunov import LyapunovEstimate
 from swlyap.semigroups import DiagonalGroupMode, HalfLineShiftMode, MatrixMode, ShiftAmplifyMode
@@ -61,18 +63,17 @@ CASES = [
      f"FitRefusal(reason='no decay', t=1.0, value=2.0, signal={SIG_REPR})"),
     (ConditionReport, dict(n_samples=3, c_hat=0.5, C_hat=2.0, upper_ok=True, lower_ok=True,
                            derivative_ok=False, growth=GrowthBound(2.0, 1.0), growth_ok=True,
-                           supports={"B": False}, notes=["a note"]),
+                           supports={"B": False}, notes=("a note",)),
      "ConditionReport(n_samples=3, c_hat=0.5, C_hat=2.0, upper_ok=True, lower_ok=True, "
      "derivative_ok=False, growth=GrowthBound(M=2.0, omega=1.0), growth_ok=True, "
-     "supports={'B': False}, notes=['a note'])"),
+     "supports={'B': False}, notes=('a note',))"),
     (RunConfig, dict(task="simulate", system=None, signal=SIG, state=None, family=None,
                      horizon=2.0, dt=0.5, seed=1, n_samples=2, example=None, params={"n": 2},
                      out_dir="out"),
      f"RunConfig(task='simulate', system=None, signal={SIG_REPR}, state=None, family=None, "
      "horizon=2.0, dt=0.5, seed=1, n_samples=2, example=None, params={'n': 2}, out_dir='out')"),
 ]
-MUTABLE = (ConditionReport, RunConfig)
-UNHASHABLE_FIELDS = (GramOperator,)  # its operator is a numpy array
+UNHASHABLE_FIELDS = (GramOperator, ConditionReport, RunConfig)  # an array or a dict field
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
@@ -80,7 +81,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 def test_positional_and_keyword_build_equal_records(cls, fields, text):
     by_keyword, by_position = cls(**fields), cls(*fields.values())
     assert by_keyword == by_position and not by_keyword != by_position
-    if cls not in MUTABLE + UNHASHABLE_FIELDS:
+    if cls not in UNHASHABLE_FIELDS:
         assert hash(by_keyword) == hash(by_position)
 
 
@@ -91,13 +92,11 @@ def test_repr_names_each_field(cls, fields, text):
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
 def test_frozen_records_refuse_assignment_and_mutable_ones_take_it(cls, fields, text):
+    # every record refuses; a dict or array field only keeps it from hashing
     record = cls(**fields)
-    if cls in MUTABLE:
-        for name, value in fields.items():
-            setattr(record, name, value)
+    if cls in UNHASHABLE_FIELDS:
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
-        return
     for name in [*fields, "not_a_field"]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -119,10 +118,31 @@ def test_a_cached_exponential_stays_out_of_equality():
     assert mode.__dict__.keys() > fresh.__dict__.keys()
 
 
-def test_mutable_defaults_are_per_instance():
-    assert ConditionReport().supports is not ConditionReport().supports
-    assert ConditionReport().notes is not ConditionReport().notes
-    assert RunConfig("simulate").params is not RunConfig("simulate").params
+def _records(cls=Record):
+    """Every subclass of ``cls``; importing ``swlyap.cli`` above loaded them all."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_every_record_is_frozen_with_immutable_defaults():
+    records = set(_records())
+    assert records == {cls for cls, _, _ in CASES}  # so every record has a case above
+    for cls in records:
+        assert (cls.__setattr__, cls.__delattr__) == (Record.__setattr__, Record.__delattr__)
+        assert not [k for k, v in cls._defaults.items() if type(v) in (dict, list, set)], cls
+
+
+def test_gram_operators_compare_by_signal_and_entries():
+    a, b = SwitchingSignal((), 0), SwitchingSignal((), 1)
+    op = GramOperator(np.eye(2), a)
+    assert op == GramOperator(np.eye(2), a) and not op != GramOperator(np.eye(2), a)
+    assert op != GramOperator(2.0 * np.eye(2), a)
+    assert op != GramOperator(np.eye(2), b)
+    assert op != GramOperator(np.eye(3), a)
+    assert op != np.eye(2).tolist() and op != a
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(op)
 
 
 def test_constructor_arguments_are_checked():
