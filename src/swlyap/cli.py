@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import presets
 from .certificates import (
+    _GROWTH_CHECK_GRID,
     EMPIRICAL_PROVENANCE,
     FitRefusal,
     condition_report,
@@ -28,10 +29,11 @@ from .certificates import (
 )
 from .errors import Record, StructuralError, SwlyapError, under
 from .gram import _system_dim, argmax_set, candidates_from_family, v_max
-from .lyapunov import family_max, trajectory_cost, v_sup
+from .lyapunov import DERIVATIVE_STEPS, family_max, trajectory_cost, v_sup
 from .semigroups import MatrixMode, ShiftAmplifyMode, apply
 from .state_space import PiecewiseConstantFn, euclidean_state, state_from_json, state_norm
 from .switching import (
+    _ENUMERATION_LIMIT,
     SignalFamily,
     SwitchedSystem,
     SwitchingSignal,
@@ -88,9 +90,10 @@ _WORST_CASE_LIMIT = 25_000
 _GRAM_LIMIT = 60_000
 # certify counts a family's distinct trajectories by walking it, 0.2 us a piece.
 _ENUMERATION_PIECES = 1_000_000
-# certify fits its rates on the time grid 0.25 k, k = 1 .. horizon/0.25; a
-# slope needs two points of it.
-_CERTIFY_MIN_HORIZON = 0.5
+# certify fits its rates on the time grid k _CERTIFY_STEP, k = 1 .. horizon /
+# _CERTIFY_STEP; a slope needs two points of it.
+_CERTIFY_STEP = 0.25
+_CERTIFY_MIN_HORIZON = 2 * _CERTIFY_STEP
 
 
 class RunConfig(Record):
@@ -191,10 +194,10 @@ def _bound(errors, limit, what, factors):
 
 
 def _trajectories(family):
-    """The family's distinct trajectories, or its size when enumerating it
-    would walk more than _ENUMERATION_PIECES signal pieces."""
+    """The family's distinct trajectories, or its size when it is too large to
+    enumerate or to walk in _ENUMERATION_PIECES signal pieces."""
     size = family_size(family)
-    if size * (family.max_switches + 1) > _ENUMERATION_PIECES:
+    if size > _ENUMERATION_LIMIT or size * (family.max_switches + 1) > _ENUMERATION_PIECES:
         return size
     return sum(1 for _ in distinct_trajectories(enumerate_family(family)))
 
@@ -282,12 +285,14 @@ def validate_config(raw, overrides=None):
             n_samples, horizon = scalars["n_samples"], scalars["horizon"]
             if horizon and horizon < _CERTIFY_MIN_HORIZON:
                 errors.append(f"horizon: certify needs at least {_CERTIFY_MIN_HORIZON}, "
-                              "two points of its 0.25 time grid to fit a rate")
+                              f"two points of its {_CERTIFY_STEP} time grid to fit a rate")
             elif family and n_samples and horizon:
+                fixed, steps = len(_GROWTH_CHECK_GRID) + 1, len(DERIVATIVE_STEPS)
                 _bound(errors, _CERTIFY_LIMIT, "certify would evaluate n_samples x distinct "
-                       "trajectories x (horizon/0.25 + 5 + 17 x modes) signals",
+                       f"trajectories x (horizon/{_CERTIFY_STEP} + {fixed} + {steps} x modes) "
+                       "signals",
                        {"n_samples": n_samples, "family": _trajectories(family),
-                        "horizon": horizon // 0.25 + 5 + 17 * system.n_modes})
+                        "horizon": horizon // _CERTIFY_STEP + fixed + steps * system.n_modes})
         elif task == "worst_case" and family:
             _bound(errors, _WORST_CASE_LIMIT, "worst_case would walk family size x "
                    "(max_switches + 1) signal pieces",
@@ -336,14 +341,20 @@ def _out(config, name):
 # -- task runners -----------------------------------------------------------------
 
 
-def _run_simulate(config: RunConfig):
-    sys_, sig, x = config.system, config.signal, config.state
-    # np.arange(0, horizon + dt/2, dt)'s length rule and fill, without numpy
-    dt = config.dt
-    ts = [k * dt for k in range(math.ceil((config.horizon + 0.5 * dt) / dt))]
+def _write_trajectory(config, sys_, sig, x, horizon, dt):
+    """trajectory.csv: the norm of ``x`` evolved by ``sig`` and the active mode
+    at each time of np.arange(0, horizon + dt/2, dt), built by its length rule
+    and fill without numpy; returns the norms."""
+    ts = [k * dt for k in range(math.ceil((horizon + 0.5 * dt) / dt))]
     norms = [state_norm(evolve(sys_, sig, t, x), sys_.norm) for t in ts]
     rows = [(repr(t), repr(n), sig.active_mode(t)) for t, n in zip(ts, norms)]
     _write_csv(_out(config, "trajectory.csv"), ("t", "norm", "mode_active"), rows)
+    return norms
+
+
+def _run_simulate(config: RunConfig):
+    norms = _write_trajectory(config, config.system, config.signal, config.state,
+                              config.horizon, config.dt)
     _write_json(
         _out(config, "summary.json"),
         {
@@ -387,7 +398,7 @@ def _run_certify(config: RunConfig):
     sys_, fam = config.system, config.family
     rng = np.random.default_rng(config.seed)
     samples = _sample_states(sys_, config.n_samples, rng)
-    time_grid = [0.25 * k for k in range(1, int(config.horizon / 0.25) + 1)]
+    time_grid = [_CERTIFY_STEP * k for k in range(1, int(config.horizon / _CERTIFY_STEP) + 1)]
     sweep = norm_ratio_samples(sys_, fam, time_grid, samples)
     growth = fit_growth(sweep)
     decay = fit_decay(sweep)
@@ -543,11 +554,7 @@ def _reproduce_half_line(config: RunConfig):
     sys_ = presets.half_line_system(1.0)
     domain_hi = 12.0
     compact = PiecewiseConstantFn.indicator(0.0, domain_hi, 1.0, 2.0)
-    rows = []
-    for t in [0.25 * k for k in range(0, 41)]:
-        n = state_norm(evolve(sys_, SwitchingSignal((), 0), t, compact), sys_.norm)
-        rows.append((repr(t), repr(n), 0))
-    _write_csv(_out(config, "trajectory.csv"), ("t", "norm", "mode_active"), rows)
+    _write_trajectory(config, sys_, SwitchingSignal((), 0), compact, 10.0, 0.25)
     ratios = []
     for t in range(1, 11):
         w = PiecewiseConstantFn.indicator(0.0, domain_hi, float(t), float(t) + 1.0)

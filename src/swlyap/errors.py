@@ -121,8 +121,8 @@ class Record:
     """Base of every record in the package, none of which imports ``dataclasses``.
 
     A subclass declares its fields as annotations, in constructor order, with any
-    defaults, which are bound as they are and so are never a dict, list or set.  The
-    constructor binds them and runs ``__post_init__``; a hot record may have its own.
+    defaults, which are bound as they are and so are never a dict, list or set.  Every
+    record is built by this constructor, which binds them and runs ``__post_init__``.
     Every record is frozen; ``==``, ``hash`` and ``repr`` read the fields alone."""
 
     _fields, _defaults = (), {}

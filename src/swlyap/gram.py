@@ -30,13 +30,12 @@ from .errors import (
     UnsupportedOperation,
     json_number,
 )
-from .semigroups import DiagonalGroupMode, MatrixMode, _scaling, _squared, expm
+from .semigroups import MatrixMode, _scaling, _squared, expm
 from .state_space import euclidean_state, real_array
 from .switching import SignalFamily, SwitchedSystem, SwitchingSignal, enumerate_family
 
 __all__ = [
     "GramOperator",
-    "CandidateSet",
     "lyapunov_solve",
     "segment_energy",
     "gram_of_signal",
@@ -180,16 +179,11 @@ class GramOperator(Record):
         return {"B": self.B.tolist(), "source_signal": self.source_signal.to_json()}
 
 
-CandidateSet = tuple  # ordered tuple of GramOperator, shared dimension
-
-
 def _mode_matrix(mode, dim: int) -> np.ndarray:
     if isinstance(mode, MatrixMode):
         return mode.matrix
-    if isinstance(mode, DiagonalGroupMode):
-        import numpy as np
-        return -mode.mu * np.eye(dim)
-    raise UnsupportedOperation("Gram operators are defined for coordinate systems only")
+    import numpy as np
+    return -mode.mu * np.eye(dim)  # a group mode: a system with a matrix mode holds no other kind
 
 
 def _system_dim(sys: SwitchedSystem) -> int:
@@ -261,15 +255,13 @@ def gram_of_signal(sys: SwitchedSystem, sig: SwitchingSignal) -> GramOperator:
     return _Assembler(sys).gram(sig)
 
 
-def candidates_from_family(sys: SwitchedSystem, fam: SignalFamily | None = None) -> CandidateSet:
+def candidates_from_family(sys: SwitchedSystem, fam: SignalFamily) -> tuple:
     """Gram operators of every family signal, in enumeration order, sharing
     segments, tails and prefixes across signals."""
-    if fam is None:
-        fam = SignalFamily.default(sys.n_modes)
     return tuple(map(_Assembler(sys).gram, enumerate_family(fam)))
 
 
-def _state(cands: CandidateSet, x) -> np.ndarray:
+def _state(cands: tuple, x) -> np.ndarray:
     """``x``, a state or a direction, checked against a nonempty candidate set."""
     if not cands:
         raise StructuralError("candidate set must be nonempty")
@@ -279,7 +271,7 @@ def _state(cands: CandidateSet, x) -> np.ndarray:
     return x
 
 
-def v_max(cands: CandidateSet, x: np.ndarray) -> float:
+def v_max(cands: tuple, x: np.ndarray) -> float:
     """max over candidates of the quadratic form <x, Bx>."""
     x = _state(cands, x)
     return max(c.quad(x) for c in cands)
@@ -296,7 +288,7 @@ class ArgmaxSet(Record):
             raise StructuralError("argmax set cannot be empty")
 
 
-def argmax_set(cands: CandidateSet, x: np.ndarray, tol: float = DEFAULT_ARGMAX_TOL) -> ArgmaxSet:
+def argmax_set(cands: tuple, x: np.ndarray, tol: float = DEFAULT_ARGMAX_TOL) -> ArgmaxSet:
     x = _state(cands, x)
     if not 0.0 <= tol < math.inf:  # also refuses NaN
         raise ContractViolation("tol must be finite and nonnegative")
@@ -310,7 +302,7 @@ def argmax_set(cands: CandidateSet, x: np.ndarray, tol: float = DEFAULT_ARGMAX_T
 
 
 def directional_derivative(
-    cands: CandidateSet, x: np.ndarray, psi: np.ndarray, tol: float = DEFAULT_ARGMAX_TOL
+    cands: tuple, x: np.ndarray, psi: np.ndarray, tol: float = DEFAULT_ARGMAX_TOL
 ) -> float:
     """One-sided directional derivative of v_max at x along psi.
 

@@ -226,10 +226,7 @@ def lp_norm_pow(f: PiecewiseConstantFn, p: float) -> float:
     """The p-th power of the L^p norm, sum of |v|^p * piece length; raises
     InvalidStateError when the sum is not finite, as any non-finite value makes it."""
     total = 0.0
-    if p == 1.0:
-        for lo, hi, v in f.pieces():
-            total += abs(v) * (hi - lo)
-    elif p == 2.0:
+    if p == 2.0:
         for lo, hi, v in f.pieces():
             total += v * v * (hi - lo)
     else:
@@ -249,8 +246,6 @@ def lp_norm(f: PiecewiseConstantFn, spec: NormSpec) -> float:
         raise StructuralError("piecewise functions carry an L^p norm, not a Euclidean one")
     p = spec.p
     total = lp_norm_pow(f, p)
-    if p == 1.0:
-        return total
     if p == 2.0:
         return math.sqrt(total)
     return total ** (1.0 / p)

@@ -68,12 +68,12 @@ class SwitchingSignal(Record):
     Errors name the offending field as a path, e.g. ``segments[1].dwell``.
     """
 
-    segments: tuple
-    tail_mode: int
+    segments: tuple = ()
+    tail_mode: int = 0
 
-    def __init__(self, segments: tuple = (), tail_mode: int = 0):  # its own: a hot record
+    def __post_init__(self):
         try:
-            items = enumerate(segments)
+            items = enumerate(self.segments)
         except TypeError:
             raise StructuralError("segments: must be a sequence of (mode, dwell) pairs") from None
         segs = []
@@ -90,7 +90,7 @@ class SwitchingSignal(Record):
                 raise StructuralError(f"segments[{i}]: must be a (mode, dwell) pair") from None
             segs.append((m, d))
         object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "tail_mode", _mode_id(tail_mode, "tail"))
+        object.__setattr__(self, "tail_mode", _mode_id(self.tail_mode, "tail"))
 
     def active_mode(self, t: float) -> int:
         """Mode active at time t (right-continuous)."""
@@ -211,14 +211,14 @@ def walk(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
 def evolve(sys: SwitchedSystem, sig: SwitchingSignal, t: float, x):
     """Apply the switched evolution operator of ``sig`` for duration ``t``.
 
-    Equals ``walk``'s last ``end`` (``x`` itself when ``t == 0``).  A mode id is
-    resolved, and a transport mode's domain checked, at the id's first piece.
-    A piecewise state crosses transport steps as the kernel's canonical lists
-    and is built once, by ``_from_floats``; other steps go through ``apply``.
+    Equals ``walk``'s last ``end`` (``x`` itself when ``t == 0``), which is what
+    a coordinate state gets.  A piecewise state crosses transport steps as the
+    kernel's canonical lists and is built once, by ``_from_floats``; other steps
+    go through ``apply``, and each mode id is resolved at its first piece.
     """
     if not isinstance(x, PiecewiseConstantFn):
-        for mode_id, step in _pieces(sig, t):
-            x = apply(sys.mode(mode_id), step, x)
+        for *_, x in walk(sys, sig, t, x):
+            pass
         return x
     lo, hi = x.domain
     breaks, values, state = x.breaks, x.values, x  # state is None while only the lists hold it

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swlyap import cli
 from swlyap.cli import RunConfig, main, validate_config
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -94,6 +95,12 @@ PROBES = [
     ("n-too-deep", ["reproduce", "remark-3.2"], {"params": {"n": 26}}, 2, "params.n: "),
     ("n-fractional", ["reproduce", "remark-3.2"], {"params": {"n": 4.5}}, 2, "params.n: "),
     ("p-below-one", ["reproduce", "remark-3.2"], {"params": {"p": 0.5}}, 2, "params.p: "),
+    # 500,001 one-piece signals walk fewer than 1,000,000 pieces, but a family
+    # past 500,000 signals is never enumerated: it is counted by its size
+    ("certify-family-past-the-enumeration-limit", ["certify"],
+     {"system": {"modes": [{"kind": "matrix", "A": [[-1.0]]}]}, "n_samples": 1, "horizon": 1,
+      "family": {"dwells": [1.0], "max_switches": 0, "modes": [0] * 500_001}}, 2,
+     "family: certify would evaluate"),
     ("certify-nothing-to-sample", ["certify"],
      {"system": {"modes": [{"kind": "diagonal_group", "mu": 1.0}]}}, 2, "system.modes: "),
     ("config-file-missing", ["worst-case"], MISSING, 2, "config: cannot read"),
@@ -348,6 +355,18 @@ def test_certify_cost_bound_sits_at_the_limit():
         t0 = time.perf_counter()
         assert validate_config({**doc, "family": SMALL_FAMILY, **field})[1]
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_certify_counts_a_family_too_long_to_walk_by_its_size(monkeypatch):
+    def walk(family):
+        raise AssertionError("the family was walked")
+
+    monkeypatch.setattr(cli, "enumerate_family", walk)
+    # 2 modes, 204 dwells, depth 2: 333,746 signals x 3 pieces, past 1,000,000
+    doc = {"task": "certify", "system": PAIR, "n_samples": 1, "horizon": 1.0,
+           "family": {"dwells": [(k + 1) / 256 for k in range(204)], "max_switches": 2}}
+    errors = validate_config(doc)[1]
+    assert len(errors) == 1 and errors[0].startswith("family: certify would evaluate")
 
 
 def test_worst_case_cost_bound_sits_at_the_limit():

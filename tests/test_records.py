@@ -133,6 +133,11 @@ def test_every_record_is_frozen_with_immutable_defaults():
         assert not [k for k, v in cls._defaults.items() if type(v) in (dict, list, set)], cls
 
 
+def test_every_record_is_built_by_the_one_constructor():
+    # PiecewiseConstantFn._from_floats, for kernel output, is the one fill by hand
+    assert [cls for cls in _records() if "__init__" in vars(cls)] == []
+
+
 def test_gram_operators_compare_by_signal_and_entries():
     a, b = SwitchingSignal((), 0), SwitchingSignal((), 1)
     op = GramOperator(np.eye(2), a)

@@ -79,4 +79,17 @@ def test_report_ends_with_the_summary_as_json(tmp_path):
     assert lines[0] == ("tier-1: 5 tests in 12.3 s: 2 passed, 1 failed, 1 xfailed, "
                         "1 skipped, 0 errors")
     assert lines[1].endswith("test_criterion_08_gronwall_loop_as_stated (by design)")
+    assert lines[2] == f"src: {summary['src_lines']} lines in src/swlyap/*.py"
     assert json.loads(lines[-1]) == summary
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "swlyap"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    tool = _tool()
+    assert tool.src_lines(tmp_path) == 3
+    assert _summary(tmp_path, AS_DESIGNED)["src_lines"] == tool.src_lines() > 0

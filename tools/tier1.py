@@ -4,7 +4,8 @@ Runs `python -m pytest -q --continue-on-collection-errors` from the repository
 root with `src` on PYTHONPATH (the tier-1 command of ROADMAP.md), writing a
 JUnit XML report to a temporary file, and prints the wall time, the counts of
 passed, failed, xfailed, skipped and errored tests, every failed or errored test,
-the 10 slowest tests, and last a JSON line holding the same numbers.  Further
+the 10 slowest tests, the line count of src/swlyap/*.py (the src count that
+ROADMAP.md tracks), and last a JSON line holding the same numbers.  Further
 arguments go to pytest.  Criterion 8 documents an unattainable rate and fails
 by design, so the exit status is 0 only when it is the one failure; any other
 failure or error, or a passing criterion 8, exits 1.
@@ -26,8 +27,14 @@ EXPECTED_FAILURES = ["tests.test_acceptance::test_criterion_08_gronwall_loop_as_
 SLOWEST = 10
 
 
+def src_lines(root=ROOT):
+    """Lines in src/swlyap/*.py under ``root``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "swlyap").glob("*.py"))
+
+
 def summarize(junit_path, wall_s):
-    """The outcome counts, the failed tests and the slowest tests of a JUnit report."""
+    """The outcome counts, the failed tests and the slowest tests of a JUnit
+    report, with the current src line count."""
     counts = dict.fromkeys(("passed", "failed", "xfailed", "skipped", "errors"), 0)
     failures, times = [], []
     for case in ET.parse(junit_path).iter("testcase"):
@@ -49,6 +56,7 @@ def summarize(junit_path, wall_s):
         **counts,
         "failures": failures,
         "slowest": [[test, round(s, 2)] for s, test in slowest],
+        "src_lines": src_lines(),
         "ok": failures == EXPECTED_FAILURES,
     }
 
@@ -60,6 +68,7 @@ def report(summary):
                          ("passed", "failed", "xfailed", "skipped", "errors"))]
     lines += [f"failed: {test}" + (" (by design)" if test in EXPECTED_FAILURES else "")
               for test in summary["failures"]]
+    lines += [f"src: {summary['src_lines']} lines in src/swlyap/*.py"]
     lines += [f"slowest {len(summary['slowest'])}:"]
     lines += [f"  {s:6.2f} s  {test}" for test, s in summary["slowest"]]
     return lines + [json.dumps(summary, sort_keys=True)]
