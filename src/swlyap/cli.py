@@ -47,7 +47,6 @@ from .switching import (
 __all__ = ["RunConfig", "validate_config", "run", "main"]
 
 TASKS = ("simulate", "worst_case", "certify", "gram", "reproduce")
-OUT_ENV = "SWLYAP_OUT"
 
 # Number fields as (cast, accepts, requirement); defaults are RunConfig's.
 _SCALARS = {
@@ -305,7 +304,7 @@ def validate_config(raw, overrides=None):
                 _bound(errors, _GRAM_LIMIT, "gram would walk family size x (max_switches + 1 "
                        "+ dim^2) signal pieces and operator entries",
                        {"family": family_size(family), max(per, key=per.get): sum(per.values())})
-    out_dir = os.environ.get(OUT_ENV) or raw.get("out_dir", ".")
+    out_dir = raw.get("out_dir", ".")
     if not (isinstance(out_dir, str) and out_dir):
         errors.append("out_dir: must be a nonempty path")
 
@@ -620,7 +619,7 @@ def main(argv=None) -> int:
     def command(name, about, reads=("--seed", "--horizon")):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", dest="out_dir", help="output directory (env SWLYAP_OUT overrides)")
+        p.add_argument("--out", dest="out_dir", help="output directory; beats the config's out_dir")
         for flag in reads:  # only the flags whose fields the task reads
             p.add_argument(flag, type={"--seed": int, "--horizon": float}[flag])
         return p

@@ -327,20 +327,22 @@ def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) ->
 def generalized_derivative(
     v, sys: SwitchedSystem, mode_id: int, x, v0: float | None = None
 ) -> float:
-    """Difference-quotient estimate of the generalized derivative along one mode.
+    """Generalized derivative along one mode, estimated so as to err upward.
 
-    ``v`` is any evaluator mapping states to values.  The result is the minimum
-    of (v(T_j(t)x) - v(x)) / t over DERIVATIVE_STEPS, t = 2^-4 down to 2^-20.
-    It bounds no limit: it is at most the smallest step's quotient, so a coarse
-    step whose quotient is negative passes a decay check <= -||x||^2 while v
-    increases along the mode (ROADMAP item 18).  ``v0`` is
+    ``v`` is any evaluator mapping states to values, q(t) = (v(T_j(t)x) - v(x)) / t
+    is evaluated at each of DERIVATIVE_STEPS, 2^-4 down to h = 2^-20, and the three
+    smallest give the Richardson extrapolants r = 2 q(h) - q(2h), r' = 2 q(2h) - q(4h).
+    The result max(q(h), r) + |r - r'|, padded by their spread, is never below q(h):
+    a coarse negative quotient cannot pass a decay check while v increases.  ``v0`` is
     ``v(x)`` when the caller already holds it; when None it is evaluated here,
     so ``v`` runs once per step plus once for x.
     """
     mode = sys.mode(mode_id)
     if v0 is None:
         v0 = v(x)
-    return min((v(apply(mode, t, x)) - v0) / t for t in DERIVATIVE_STEPS)
+    *_, q4h, q2h, qh = [(v(apply(mode, t, x)) - v0) / t for t in DERIVATIVE_STEPS]
+    r, r_prev = 2.0 * qh - q2h, 2.0 * q2h - q4h
+    return max(qh, r) + abs(r - r_prev)
 
 
 def augment_system(sys: SwitchedSystem, mu: float) -> SwitchedSystem:

@@ -113,8 +113,8 @@ class SwitchingSignal(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchingSignal":
         obj = json_object(obj, "an object with 'segments' and 'tail'", "segments", "tail")
-        segs = json_list(obj["segments"], "segments", _segment, "a list of [mode, dwell] pairs")
-        return cls(tuple(segs), json_integer(obj["tail"], "tail"))
+        need = "a list of [mode, dwell] pairs"  # the constructor checks each pair and the tail
+        return cls(json_list(obj["segments"], "segments", lambda seg, _: seg, need), obj["tail"])
 
 
 def _mode_id(value, path: str) -> int:
@@ -132,12 +132,6 @@ def _dwell(value) -> float:
     if not (d > 0 and math.isfinite(d)):
         raise StructuralError("dwell: must be strictly positive")
     return d
-
-
-def _segment(value, path):
-    if not (isinstance(value, list) and len(value) == 2):
-        raise StructuralError(f"{path}: must be a [mode, dwell] pair")
-    return json_integer(value[0], f"{path}.mode"), json_number(value[1], f"{path}.dwell")
 
 
 class SwitchedSystem(Record):

@@ -312,9 +312,15 @@ def test_mixed_matrix_dimensions_exit_2(tmp_path, capsys):
     assert err.startswith("system: matrix modes have different dimensions")
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("SWLYAP_OUT", str(target))
-    assert main(["reproduce", "half-line-shift", "--out", str(tmp_path / "ignored")]) == 0
-    assert (target / "summary.json").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_artifacts_land_in_out_whatever_the_environment_says(tmp_path, monkeypatch):
+    # --out, then the config's out_dir, then "."; no SWLYAP_* variable moves them
+    for name in ("OUT", "OUT_DIR"):
+        monkeypatch.setenv(f"SWLYAP_{name}", str(tmp_path / "env"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "config")}))
+    argv = ["reproduce", "half-line-shift", "--config", str(config)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+    assert (tmp_path / "config" / "summary.json").exists()
+    assert not (tmp_path / "env").exists()

@@ -142,6 +142,11 @@ PROBES = [
     ("segments-numeric-strings", ["simulate"],
      pair_config(signal={"segments": [["0", "0.5"]], "tail": 0}), 2,
      "signal.segments[0].mode: must be an integer"),
+    ("segment-an-object", ["simulate"],
+     pair_config(signal={"segments": [{"mode": 0, "dwell": 0.5}], "tail": 0}), 2,
+     "signal.segments[0].mode: must be an integer"),
+    ("segment-one-item", ["simulate"], pair_config(signal={"segments": [[0]], "tail": 0}), 2,
+     "signal.segments[0]: must be a (mode, dwell) pair"),
     ("simulate-grid-too-fine", ["simulate"],
      pair_config(signal={"segments": [], "tail": 0}, dt=1e-8, horizon=10.0), 2, "dt: "),
     ("scalar-overflow-worst-case", ["worst-case"], scalar_config(1000.0), 1,
@@ -231,8 +236,7 @@ def write_config(tmp_path, doc):
 @pytest.mark.parametrize(
     "argv, doc, code, prefix", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES]
 )
-def test_probe(tmp_path, capsys, monkeypatch, argv, doc, code, prefix):
-    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+def test_probe(tmp_path, capsys, argv, doc, code, prefix):
     path = write_config(tmp_path, doc)
     out = [] if isinstance(doc, dict) and "out_dir" in doc else ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
@@ -437,8 +441,7 @@ def test_gram_cost_bound_sits_at_the_limit():
 
 @pytest.mark.parametrize("probe", ["simulate-long-signal-fine-grid",
                                    "gram-family-over-the-limit"])
-def test_hour_long_runs_are_refused_in_under_a_second(tmp_path, capsys, monkeypatch, probe):
-    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+def test_hour_long_runs_are_refused_in_under_a_second(tmp_path, capsys, probe):
     argv, doc, code, prefix = next(p[1:] for p in PROBES if p[0] == probe)
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
@@ -573,11 +576,10 @@ def test_cli_exits_cleanly_on_any_one_field(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(_replace(doc, path, value)))
-        env = {k: v for k, v in os.environ.items() if k != "SWLYAP_OUT"}
         proc = subprocess.run(
             [sys.executable, "-m", "swlyap.cli", *argv, "--config", str(config),
              "--out", str(Path(tmp) / "out")],
-            env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
         )
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr

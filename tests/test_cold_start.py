@@ -57,10 +57,9 @@ def test_transport_tasks_never_load_numpy(tmp_path):
             path.write_text(json.dumps(config))
             argv = [*argv, "--config", str(path)]
         runs.append((name, [*argv, "--out", str(tmp_path / name)]))
-    env = {k: v for k, v in os.environ.items() if k != "SWLYAP_OUT"}
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(runs)], cwd=tmp_path,
-        env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])

@@ -78,8 +78,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, config, digests", [g[1:] for g in GOLDEN],
                          ids=[g[0] for g in GOLDEN])
-def test_artifacts_are_bit_identical(tmp_path, monkeypatch, argv, config, digests):
-    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+def test_artifacts_are_bit_identical(tmp_path, argv, config, digests):
     out = tmp_path / "out"
     if config is not None:
         path = tmp_path / "config.json"

@@ -183,10 +183,9 @@ def test_cli_never_imports_scipy(tmp_path):
         "    assert main([task, '--config', f'{tmp}/{task}.json', '--out', f'{tmp}/out']) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "SWLYAP_OUT"}
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path), *configs],
-        env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "gram.json").exists()

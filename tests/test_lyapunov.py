@@ -38,7 +38,7 @@ from swlyap import (
     v_tilde_single_mode,
 )
 from swlyap import lyapunov, semigroups, switching
-from swlyap.certificates import _KAPPA_TOL
+from swlyap.certificates import _KAPPA_TOL, condition_report
 from swlyap.lyapunov import DEFAULT_HORIZON, DERIVATIVE_STEPS
 from swlyap.presets import (
     blowup_transport_pair,
@@ -477,9 +477,6 @@ class TestGeneralizedDerivative:
         assert len(seen) == len(DERIVATIVE_STEPS) + 1  # the v(x) above, then one per step
         assert given == own
 
-    @pytest.mark.xfail(strict=True, reason="the minimum over the steps passes on a coarse "
-                       "negative quotient while V increases; ROADMAP item 18 makes the check "
-                       "conservative")
     def test_fast_rotating_pair_fails_the_decrease_check(self):
         # certify's evaluator at x = (0.6, 0.8): mode 0's minimum quotient is -21.1, its
         # quotient at t = 2^-20 +265.5; mode 1's are -119.3 and +97.4
@@ -492,6 +489,29 @@ class TestGeneralizedDerivative:
         threshold = -float(x @ x) * (1.0 - _KAPPA_TOL)
         for j in range(2):
             assert generalized_derivative(v, sys_, j, x) > threshold
+
+    def test_no_sample_passes_while_its_smallest_step_quotient_is_above_the_threshold(self):
+        # certify's evaluator and check (dwells 0.5 and 1, one switch, H = 4) on random
+        # rotation-dominated pairs, Hurwitz or not, at one random unit state each
+        rng = np.random.default_rng(18)
+        fam = SignalFamily((0.5, 1.0), 1, (0, 1))
+        signals = tuple(distinct_trajectories(enumerate_family(fam)))
+        rotation, h = np.array([[0.0, -1.0], [1.0, 0.0]]), DERIVATIVE_STEPS[-1]
+        verdicts, hurwitz = set(), set()
+        for _ in range(10):
+            mats = [rng.standard_normal((2, 2)) + rng.uniform(-30.0, 30.0) * rotation
+                    - rng.uniform(0.0, 3.0) * np.eye(2) for _ in range(2)]
+            hurwitz.add(all(np.linalg.eigvals(a).real.max() < 0.0 for a in mats))
+            sys_ = SwitchedSystem(tuple(matrix_mode(a.tolist()) for a in mats),
+                                  NormSpec.euclidean())
+            v = lambda y, sys_=sys_: family_max(sys_, signals, y, 4.0)[1]
+            x = rng.standard_normal(2)
+            x = euclidean_state(x / np.linalg.norm(x))
+            passed = condition_report(sys_, v, [x], fam).derivative_ok
+            verdicts.add(passed)
+            quotients = [(v(apply(mode, h, x)) - v(x)) / h for mode in sys_.modes]
+            assert not passed or max(quotients) <= -float(x @ x) * (1.0 - _KAPPA_TOL), (mats, x)
+        assert verdicts == hurwitz == {True, False}
 
 
 class TestAugmentation:

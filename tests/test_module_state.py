@@ -61,8 +61,7 @@ def same(a, b) -> bool:
     return a == b
 
 
-def test_tasks_change_no_module_state(tmp_path, monkeypatch):
-    monkeypatch.delenv("SWLYAP_OUT", raising=False)
+def test_tasks_change_no_module_state(tmp_path):
     before = {name: copy.deepcopy(value) for name, value in module_containers().items()}
     assert {"cli._SCALARS", "cli._PARAMS"} <= before.keys()
     for task, config in (("certify", CERTIFY), ("worst-case", WORST_CASE)):
@@ -76,7 +75,6 @@ def test_tasks_change_no_module_state(tmp_path, monkeypatch):
 
 
 def test_certify_computes_each_exponential_once(tmp_path, monkeypatch):
-    monkeypatch.delenv("SWLYAP_OUT", raising=False)
     requested, computed = [], []
     exp, expm = semigroups.MatrixMode.exp, semigroups.expm
 

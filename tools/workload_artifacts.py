@@ -5,20 +5,20 @@ the workload's own generator (imported, never edited) and its artifacts in
 OUT_DIR/<workload>-seed<n>/; each `reproduce` example writes its artifacts
 once, in OUT_DIR/reproduce-<id>/.  Every run calls `swlyap.cli.main` in this
 process, from whichever `swlyap` is importable, so the tree reflects the
-`src` on PYTHONPATH.  SWLYAP_OUT is ignored.  Prints one line per run; exits
-1 if any run exits nonzero and 2 on bad arguments.  Two trees written from
-two checkouts compare with tools/artifact_drift.py:
+`src` on PYTHONPATH; each run gets its directory as `--out`, which nothing
+overrides.  Prints one line per run; exits 1 if any run exits nonzero and 2
+on bad arguments.  Two trees written from two checkouts compare with
+tools/artifact_drift.py:
 
     PYTHONPATH=src python3 tools/workload_artifacts.py OUT_DIR SEED...
 """
 
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-from swlyap.cli import EXAMPLES, OUT_ENV
+from swlyap.cli import EXAMPLES
 from swlyap.cli import main as swlyap_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -45,7 +45,6 @@ def main(argv):
     if not seeds:
         print("usage: " + __doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
-    os.environ.pop(OUT_ENV, None)
     failed = False
     with tempfile.TemporaryDirectory() as config_dir:
         for name, args in runs(seeds, Path(config_dir)):
