@@ -147,7 +147,11 @@ def segment_energy(A, d: float) -> np.ndarray:
 
 
 class GramOperator(Record):
-    """Symmetric PSD operator whose quadratic form is a signal's trajectory energy."""
+    """Symmetric PSD operator whose quadratic form is a signal's trajectory energy.
+
+    Checks that B is square and finite with ||B||_2 finite, then, with s = max(1, ||B||_2),
+    that ||B - B'||_2 <= 1e-12 s unless B equals B' exactly (so every ``_Assembler.gram``
+    operator, 0.5 (B + B') by construction, skips that norm) and eigvalsh(B) >= -1e-10 s."""
 
     B: np.ndarray
     source_signal: SwitchingSignal
@@ -157,9 +161,13 @@ class GramOperator(Record):
         B = _square(self.B, "Gram operator")
         object.__setattr__(self, "B", B)
         scale = max(1.0, float(np.linalg.norm(B, 2)))
-        if np.linalg.norm(B - B.T, 2) > 1e-12 * scale:
-            raise StructuralError("Gram operator must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(B))) < -1e-10 * scale:
+        if not math.isfinite(scale):
+            raise StructuralError("Gram operator must have a finite norm")
+        if not np.array_equal(B, B.T):
+            with np.errstate(over="ignore", invalid="ignore"):  # B - B' may overflow: NaN refuses
+                if not np.linalg.norm(B - B.T, 2) <= 1e-12 * scale:
+                    raise StructuralError("Gram operator must be symmetric")
+        if not float(np.min(np.linalg.eigvalsh(B))) >= -1e-10 * scale:  # NaN refuses
             raise StructuralError("Gram operator must be positive semidefinite")
 
     @property

@@ -391,6 +391,43 @@ class TestGramOperatorInvariants:
         with pytest.raises(StructuralError):
             GramOperator(np.array([[-1.0, 0.0], [0.0, 1.0]]), SwitchingSignal((), 0))
 
+    def test_exactly_symmetric_accepted(self):
+        B = np.array([[2.0, 1.0 / 3.0], [1.0 / 3.0, 3.0]])
+        assert np.array_equal(GramOperator(B, SwitchingSignal()).B, B)
+
+    @pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-11, False)])
+    def test_asymmetry_measured_against_the_norm(self, rel, accepted):
+        B = np.array([[2.0, 1.0], [1.0, 3.0]])
+        B[0, 1] += rel * np.linalg.norm(B, 2)  # ||B - B'||_2 is the added entry
+        assert not np.array_equal(B, B.T)
+        if accepted:
+            assert GramOperator(B, SwitchingSignal()).quad(np.array([1.0, 1.0])) > 0.0
+        else:
+            with pytest.raises(StructuralError, match="symmetric"):
+                GramOperator(B, SwitchingSignal())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("B, message", [
+        # B - B' overflows to +-inf and its norm reads NaN
+        ([[1e308, 1e308], [-1e308, 1e308]], "must be symmetric"),
+        # eigvalsh gives [-inf, inf], but ||B||_2 overflows to inf
+        ([[-1.7e308, 1.7e308], [1.7e308, 1.7e308]], "must have a finite norm"),
+    ])
+    def test_unmeasurable_operators_refused(self, B, message):
+        with pytest.raises(StructuralError, match=message):
+            GramOperator(np.array(B), SwitchingSignal())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_assembled_operators_equal_their_transpose(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        dim = 2 + seed % 3
+        sys_ = SwitchedSystem(tuple(matrix_mode(random_hurwitz(rng, dim)) for _ in range(2)),
+                              NormSpec.euclidean())
+        cands = candidates_from_family(sys_, SignalFamily((0.3, 1.0), 2, (0, 1)))
+        assert len(cands) == 2 + 4 * 2 + 8 * 4
+        for c in cands:
+            assert np.array_equal(c.B, c.B.T), c.source_signal
+
 
 class TestEntryPointChecks:
     """Malformed or non-finite input raises a library error, never numpy's."""

@@ -37,12 +37,13 @@ def test_fewest_probes_per_workload_with_its_slowdown(tmp_path):
     assert out.stdout.splitlines() == [
         f"gram-deep: {3 * floor} probes at slowdown 1.00, headroom 3.00x over the "
         f"{floor}-probe floor (gram-deep-seed1-trace0-9/w0.result.json); of 1 samples "
-        f"0 ran under the floor and 0 at it or one probe above; "
+        f"0 ran under the floor, 0 at it, 0 one probe above and 0 two above; "
         "smallest task_s 0.2000 s",
         f"transport-search: 12 probes at slowdown 2.00, headroom {12 / floor:.2f}x over the "
         f"{floor}-probe floor (transport-search-seed2-trace0-8/w0.result.json); of 2 samples "
-        f"{int(12 < floor)} ran under the floor and {int(floor <= 12 <= floor + 1)} at it or "
-        "one probe above; smallest task_s 0.2000 s",
+        f"{int(12 < floor)} ran under the floor, {int(12 == floor)} at it, "
+        f"{int(12 == floor + 1)} one probe above and {int(12 == floor + 2)} two above; "
+        "smallest task_s 0.2000 s",
     ]
 
 
@@ -59,9 +60,21 @@ def test_samples_under_and_near_the_floor_are_counted(tmp_path):
         f"matrix-certify: {floor - 1} probes at slowdown 1.00, headroom "
         f"{(floor - 1) / floor:.2f}x over the {floor}-probe floor "
         f"(matrix-certify-seed1-trace0-1/w0.result.json); of 5 samples 1 ran under the "
-        f"floor and 2 at it or one probe above; "
+        f"floor, 1 at it, 1 one probe above and 1 two above; "
         "smallest task_s 0.1000 s",
     ]
+
+
+def test_exposure_at_the_floor_and_two_probes_above(tmp_path):
+    tool = _tool()
+    nominal, floor = tool.run_constant("NOMINAL_PROBE_S"), tool.run_constant("MIN_PROBES")
+    probes = [floor] * 3 + [floor + 1] * 2 + [floor + 2] * 4 + [floor + 3] * 5
+    for i, n in enumerate(probes):
+        _sample(tmp_path, f"gram-deep-seed{i}-trace0-{i}", [nominal] * n)
+    (line,) = _probe_floor(tmp_path).stdout.splitlines()
+    assert line.startswith(f"gram-deep: {floor} probes at slowdown 1.00")
+    assert "of 14 samples 0 ran under the floor, 3 at it, 2 one probe above and 4 two above; " \
+        in line
 
 
 def test_constants_are_read_from_the_benchmark_not_copied(tmp_path):

@@ -8,9 +8,10 @@ RUNS_DIR/<workload>-seed<n>-trace<t>-<ns>/w*.result.json (RUNS_DIR defaults to
 sample's slowdown (its mean probe time over NOMINAL_PROBE_S), its headroom
 (fewest probes / floor: the largest speedup that sample could take and still
 pass) and the sample's file; then how many of its probed samples ran under
-the floor, how many ran at it or one probe above it, and the smallest sample
-task_s as the sample recorded it.  Traced samples run no probe and are
-skipped.  Given two or more RUNS_DIRs (say, a parent run and a change run),
+the floor, how many ran exactly at it, one probe above it and two probes above
+it (the exposure to set a changed workload beside the parent's workloads run in
+the same session), and the smallest sample task_s as the sample recorded it.
+Traced samples run no probe and are skipped.  Given two or more RUNS_DIRs (say, a parent run and a change run),
 it prints each directory's name and then its lines, indented, in the order
 given; a directory without a probed sample is an error.
 
@@ -51,11 +52,12 @@ def report(runs: Path, nominal: float, floor: int) -> list:
     for workload, rows in sorted(samples.items()):
         n, mean_s, _, path = min(rows, key=lambda row: row[0])
         under = sum(row[0] < floor for row in rows)
-        near = sum(floor <= row[0] <= floor + 1 for row in rows)
+        at, above1, above2 = (sum(row[0] == floor + k for row in rows) for k in range(3))
         lines.append(f"{workload}: {n} probes at slowdown {mean_s / nominal:.2f}, "
                      f"headroom {n / floor:.2f}x over the {floor}-probe floor "
                      f"({path.parent.name}/{path.name}); of {len(rows)} samples {under} ran "
-                     f"under the floor and {near} at it or one probe above; "
+                     f"under the floor, {at} at it, {above1} one probe above and "
+                     f"{above2} two above; "
                      f"smallest task_s {min(row[2] for row in rows):.4f} s")
     return lines
 
