@@ -4,8 +4,8 @@ Two candidate functionals are computed over a finite signal family:
 
 * ``v_sup``   the largest trajectory energy integral(0, horizon) ||x(t)||^2 dt
   found over the family, reported with the maximizing signal.
-* ``v_tilde`` integral of the pointwise-in-time max of ||x(t)||^2 over the
-  family, which dominates v_sup on the same family up to quadrature error.
+* ``v_tilde`` the sum over equal time cells of the family's largest exact energy on
+  each, between the scan's largest energy and the integral of the pointwise max.
 
 Both are lower bounds of the corresponding suprema over all signals and all
 time; the family and the horizon are the gap.  Segment energies are closed
@@ -18,35 +18,25 @@ memo (``MatrixMode.exp``), so every evaluation on one system shares them.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 from .errors import ContractViolation, EstimationError, Record
 from .semigroups import DiagonalGroupMode, MatrixMode, apply, transport_events
 from .state_space import NormSpec, PiecewiseConstantFn, lp_norm_pow, state_norm
 from .switching import (
-    SignalFamily,
-    SwitchedSystem,
-    SwitchingSignal,
-    distinct_trajectories,
-    enumerate_family,
-    evolve,
-    walk,
+    SignalFamily, SwitchedSystem, SwitchingSignal, distinct_trajectories, enumerate_family,
+    evolve, walk,
 )
 
 __all__ = [
-    "LyapunovEstimate",
-    "trajectory_cost",
-    "family_max",
-    "v_sup",
-    "v_tilde",
-    "v_tilde_single_mode",
-    "generalized_derivative",
-    "augment_system",
+    "LyapunovEstimate", "trajectory_cost", "family_max", "v_sup", "v_tilde",
+    "v_tilde_single_mode", "generalized_derivative", "augment_system",
 ]
 
 DEFAULT_HORIZON = 10.0
-_V_TILDE_POINTS = 801  # time points of the v_tilde grid on [0, horizon]
-_SINGLE_MODE_POINTS = 2001  # time points of the v_tilde_single_mode grid
+_CELLS = 800  # equal cells of [0, horizon] in v_tilde and v_tilde_single_mode
 _QUAD_RTOL = 1e-9  # Simpson tolerance of matrix energies, relative to the 3-point estimate
 _TIE_RTOL = 1e-12
 _REFINE_MAX_EVALS = 60  # energy evaluations of one v_sup dwell refinement
@@ -57,8 +47,8 @@ class LyapunovEstimate(Record):
     """Value of a worst-case functional at one state.
 
     ``value`` is a lower bound of the true supremum over all signals: the
-    family and the finite ``horizon`` are the gap.  ``witness`` is the
-    family signal (dwell-refined, for ``v_sup``) that attains it.
+    family and the finite ``horizon`` are the gap.  ``witness`` is the family
+    signal of largest energy (dwell-refined, for ``v_sup``, whose value it is).
     """
 
     value: float
@@ -83,10 +73,9 @@ def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -
     ``mode.exp(0.5 * h)`` for the level's half width h, carries them all to
     their quarter points.  The budget halves with the interval, which both
     terminates on dead stretches of a decayed integrand and keeps refinement
-    decisions scale-invariant.  What is still open at level 36 is accepted.
-    The pieces are summed by fsum, which rounds correctly in any order.  A
-    level that is not finite raises EstimationError: no refinement could
-    converge on it.
+    decisions scale-invariant.  The pieces are summed by fsum, which rounds
+    correctly in any order.  An interval that is not finite, or still open
+    after level 36, raises EstimationError naming it: no error bound holds there.
     """
     import numpy as np
     pieces = []
@@ -103,15 +92,13 @@ def _matrix_energy(mode: MatrixMode, d: float, x: np.ndarray, end: np.ndarray) -
             flm, frm = q2[:k], q2[k:]
             left, right = h / 6.0 * (fa + 4.0 * flm + fm), h / 6.0 * (fm + 4.0 * frm + fb)
             fine = left + right
-            bad = ~np.isfinite(fine)
-            if bad.any():
-                a = lo[bad].min()
-                raise EstimationError(
-                    f"matrix energy integrand is not finite on [{a:g}, {a + 2.0 * h:g}]"
-                )
-            done = (np.abs(fine - whole) <= 15.0 * eps) | (level == 36)
+            done = np.abs(fine - whole) <= 15.0 * eps  # false wherever fine is not finite
+            bad, go = ~np.isfinite(fine), ~done
+            if bad.any() or (level == 36 and go.any()):
+                what = "integrand is not finite" if bad.any() else "did not converge in 36 levels"
+                a = lo[bad if bad.any() else go].min()
+                raise EstimationError(f"matrix energy {what} on [{a:g}, {a + 2.0 * h:g}]")
             pieces.extend(fine[done] + (fine[done] - whole[done]) / 15.0)
-            go = ~done
             if not go.any():
                 break
             # the left child is (a, lm, m), the right child (m, rm, b)
@@ -145,18 +132,16 @@ def _mean_pow(sa: float, sb: float, q: float) -> float:
     return hi**q * -math.expm1((q + 1.0) * math.log1p(-delta)) / ((q + 1.0) * delta)
 
 
-def _transport_energy(sys, mode, d: float, f: PiecewiseConstantFn, end) -> float:
+def _transport_energy(norm, mode, d: float, f: PiecewiseConstantFn, end) -> float:
     """integral(0, d) of ||T(tau) f||^2 dtau, exact from the event cuts.
 
     ``end`` is T(d) f.  Between events s(tau) = ||T(tau) f||_p^p is linear,
     so each stretch integrates s^{2/p} in closed form from its end values.
     """
-    p = sys.norm.p
+    p = norm.p
     events = transport_events(mode, f, d)
     cuts = [0.0] + events + [d]
-    s = [lp_norm_pow(f, p)]
-    s += [lp_norm_pow(apply(mode, tau, f), p) for tau in events]
-    s.append(lp_norm_pow(end, p))
+    s = [lp_norm_pow(y, p) for y in (f, *(apply(mode, tau, f) for tau in events), end)]
     total = 0.0
     for a, b, sa, sb in zip(cuts[:-1], cuts[1:], s[:-1], s[1:]):
         if p == 2.0:
@@ -175,15 +160,18 @@ def _scalar_energy(n2: float, a: float, d: float) -> float:
     return n2 * d if x == 0.0 else n2 * d * (math.expm1(x) / x)
 
 
-def _segment_energy(sys, mode, d: float, x, end) -> float:
-    """integral(0, d) of ||T(tau) x||^2 dtau, where ``end`` is T(d) x; ``d`` is positive."""
-    if isinstance(mode, DiagonalGroupMode):
-        return _scalar_energy(state_norm(x, sys.norm) ** 2, -mode.mu, d)
-    if isinstance(mode, MatrixMode):
-        if mode.dim == 1:
-            return _scalar_energy(state_norm(x, sys.norm) ** 2, mode.rows[0][0], d)
-        return _matrix_energy(mode, d, x, end)
-    return _transport_energy(sys, mode, d, x, end)
+def _segment_energy(norm: NormSpec, mode, d: float, x, end) -> float:
+    """integral(0, d) of ||T(tau) x||^2 dtau, ``end`` being T(d) x; inf past the double range."""
+    try:
+        if isinstance(mode, DiagonalGroupMode):
+            return _scalar_energy(state_norm(x, norm) ** 2, -mode.mu, d)
+        if isinstance(mode, MatrixMode):
+            if mode.dim == 1:
+                return _scalar_energy(state_norm(x, norm) ** 2, mode.rows[0][0], d)
+            return _matrix_energy(mode, d, x, end)
+        return _transport_energy(norm, mode, d, x, end)
+    except OverflowError:
+        return math.inf
 
 
 def trajectory_cost(sys: SwitchedSystem, sig: SwitchingSignal, x, horizon: float) -> float:
@@ -196,11 +184,8 @@ def trajectory_cost(sys: SwitchedSystem, sig: SwitchingSignal, x, horizon: float
         raise ContractViolation("horizon must be positive and finite")
     state_norm(x, sys.norm)  # raises InvalidStateError on a non-finite state
     total = 0.0
-    try:
-        for mode, step, start, end in walk(sys, sig, horizon, x):
-            total += _segment_energy(sys, mode, step, start, end)
-    except OverflowError:  # a closed form left the double range
-        total = math.inf
+    for mode, step, start, end in walk(sys, sig, horizon, x):
+        total += _segment_energy(sys.norm, mode, step, start, end)
     if not math.isfinite(total):
         raise EstimationError("trajectory energy is not finite")
     return total
@@ -272,56 +257,71 @@ def v_sup(
     return LyapunovEstimate(best_cost, best_sig, horizon)
 
 
+def _cell_edges(horizon: float) -> list:
+    """The edges k horizon / _CELLS, k = 0 .. _CELLS, of the equal cells of [0, horizon]."""
+    return [horizon * k / _CELLS for k in range(_CELLS)] + [horizon]
+
+
+def _cell_energies(sys: SwitchedSystem, sig: SwitchingSignal, x, edges: list) -> list:
+    """Exact energy of ``sig``'s trajectory from ``x`` on each cell between ``edges``, its
+    pieces split at the switch times and each started from the state evolved from t = 0."""
+    switches = itertools.accumulate(d for _, d in sig.segments)  # summed as active_mode sums them
+    times = sorted(set(edges).union(s for s in switches if s < edges[-1]))
+    states, energies = [evolve(sys, sig, t, x) for t in times], [0.0] * _CELLS
+    for u, v, start, end in zip(times, times[1:], states, states[1:]):
+        cell, mode = bisect.bisect_right(edges, u) - 1, sys.mode(sig.active_mode(u))
+        energies[cell] += _segment_energy(sys.norm, mode, v - u, start, end)
+    return energies
+
+
 def v_tilde(
     sys: SwitchedSystem,
     x,
     fam: SignalFamily | None = None,
     horizon: float = DEFAULT_HORIZON,
 ) -> LyapunovEstimate:
-    """Integral of the pointwise-in-time sup of the squared norm over a family.
-
-    Dominates the v_sup value on the same family up to quadrature error.  The
-    reported witness is the single family signal with the largest energy on
-    the same grid, the earliest on a tie.  Each distinct trajectory of the
-    family is evolved once.  The horizon must be finite and nonnegative.
-    """
-    import numpy as np
+    """Sum over _CELLS equal cells of [0, horizon] of the family's largest exact energy on each:
+    at least the witness's energy (the largest, the earliest on a tie) and, up to the kernels'
+    tolerance, at most the integral of the family's pointwise max of the squared norm."""
     if not 0.0 <= horizon < math.inf:  # also refuses NaN
         raise ContractViolation("horizon must be finite and nonnegative")
     if fam is None:
         fam = SignalFamily.default(sys.n_modes)
-    grid = np.linspace(0.0, horizon, _V_TILDE_POINTS)
+    state_norm(x, sys.norm)  # raises InvalidStateError on a non-finite state
+    edges = _cell_edges(float(horizon))
     signals = list(distinct_trajectories(enumerate_family(fam)))
-    norms2 = np.empty((len(signals), grid.size))
-    for i, sig in enumerate(signals):
-        norms2[i] = [state_norm(evolve(sys, sig, float(t), x), sys.norm) ** 2 for t in grid]
-    pointwise_sup = norms2.max(axis=0)
-    value = float(np.trapezoid(pointwise_sup, grid))
-    per_signal = np.trapezoid(norms2, grid, axis=1)
-    witness = signals[int(np.argmax(per_signal))]
-    return LyapunovEstimate(value, witness, float(grid[-1]), "V_tilde")
+    cells = [_cell_energies(sys, sig, x, edges) for sig in signals]
+    totals = [math.fsum(energies) for energies in cells]
+    value = math.fsum(map(max, zip(*cells)))
+    if not math.isfinite(value):
+        raise EstimationError("v_tilde energy is not finite")
+    return LyapunovEstimate(value, signals[totals.index(max(totals))], edges[-1], "V_tilde")
 
 
 def v_tilde_single_mode(mode, mu: float, x, horizon: float = DEFAULT_HORIZON) -> float:
-    """Explicit single-mode variant with the scalar group folded in.
-
-    Evaluates integral(0, horizon) of max over s in [0, tau] of
-    e^{2 mu (s - tau)} ||T(s) x||^2, by a running-max recursion over the grid.
-    """
-    import numpy as np
+    """Explicit single-mode variant with the scalar group folded in: a lower bound of the
+    integral over [0, horizon] of m(tau) = max over s <= tau of e^{2 mu (s - tau)} ||T(s) x||^2,
+    adding on each of _CELLS equal cells the larger of its exact energy and m's running max
+    over the cell edges so far times the integral of e^{-2 mu tau} over the cell's width."""
     if not 0.0 < mu < math.inf:  # also refuses NaN
         raise ContractViolation("mu must be positive and finite")
     if not 0.0 <= horizon < math.inf:
         raise ContractViolation("horizon must be finite and nonnegative")
     spec = NormSpec(2.0) if isinstance(x, PiecewiseConstantFn) else NormSpec.euclidean()
     state_norm(x, spec)  # raises InvalidStateError on a non-finite state
-    grid = np.linspace(0.0, horizon, _SINGLE_MODE_POINTS)
-    g = np.array([state_norm(apply(mode, float(t), x), spec) ** 2 for t in grid])
-    m = np.empty_like(g)
-    m[0] = g[0]
-    for i in range(1, grid.size):
-        m[i] = max(m[i - 1] * math.exp(-2.0 * mu * (grid[i] - grid[i - 1])), g[i])
-    return float(np.trapezoid(m, grid))
+    edges, rate, cells, j = _cell_edges(float(horizon)), 2.0 * mu, [], 0
+    states = [apply(mode, t, x) for t in edges]
+    g = [n * n for n in (state_norm(y, spec) for y in states)]  # inf, not OverflowError
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        carried = g[j] * math.exp(-rate * (a - edges[j]))  # the running max at a
+        if g[k] >= carried:
+            j, carried = k, g[k]
+        exact = _segment_energy(spec, mode, b - a, states[k], states[k + 1])
+        cells.append(max(exact, carried * -math.expm1(-rate * (b - a)) / rate))
+    value = math.fsum(cells)
+    if not math.isfinite(value):
+        raise EstimationError("v_tilde_single_mode energy is not finite")
+    return value
 
 
 def generalized_derivative(

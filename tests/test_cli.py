@@ -324,3 +324,38 @@ def test_artifacts_land_in_out_whatever_the_environment_says(tmp_path, monkeypat
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "config" / "summary.json").exists()
     assert not (tmp_path / "env").exists()
+
+
+class TestUnconvergedMatrixEnergy:
+    # every signal from this state has energy at most 0.5; an adaptive Simpson that
+    # accepted what was still open after 36 levels wrote 1.135396859348709 at a horizon
+    # of 1e12 and 1.13e88 at 1e100
+    CONFIG = {
+        "task": "worst_case",
+        "system": {"modes": [{"kind": "matrix", "A": [[-1.0, 0.0], [0.0, -2.0]]},
+                             {"kind": "matrix", "A": [[-2.0, 0.0], [0.0, -1.0]]}]},
+        "state": {"coords": [1.0, 0.0]},
+        "family": {"dwells": [0.5], "max_switches": 0},
+    }
+
+    def run(self, tmp_path, horizon):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIG))
+        return main(["worst-case", "--config", str(path), "--horizon", horizon,
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("horizon", ["1e12", "1e100"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, horizon):
+        assert self.run(tmp_path, horizon) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error in worst_case: matrix energy did not converge in 36 levels")
+        assert "Traceback" not in err
+
+    def test_converged_horizon_is_unchanged(self, tmp_path):
+        assert self.run(tmp_path, "1e6") == 0
+        assert json.loads(read(tmp_path / "out" / "estimate.json")) == {
+            "bound_direction": "lower", "horizon": 1e6, "kind": "V", "seed": 0,
+            "task": "worst_case", "value": 0.500000000009543,
+            "witness": {"segments": [], "tail": 0},
+        }

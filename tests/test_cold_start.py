@@ -2,8 +2,9 @@
 
 `import swlyap` and `import swlyap.cli` load no numpy, and neither does a task
 on piecewise states: `simulate` and `worst-case` on the golden transport
-configs, and `reproduce example-2.1` and `half-line-shift`.  A matrix task loads
-numpy at its first matrix call.  The records are plain classes, so neither the
+configs, and `reproduce example-2.1` and `half-line-shift`, and neither do
+`v_tilde` and `v_tilde_single_mode` on one.  A matrix task loads numpy at its
+first matrix call.  The records are plain classes, so neither the
 imports nor any task load `dataclasses` or its `inspect`; numpy imports
 `inspect` itself, so only a run without numpy is free of it.  Each run is a
 fresh interpreter, since the test process has numpy loaded already.
@@ -66,3 +67,27 @@ def test_transport_tasks_never_load_numpy(tmp_path):
     assert loaded == {"import swlyap": [], "import swlyap.cli": [], "worst-case": [],
                       "simulate": [], "example-2.1": [], "half-line-shift": [],
                       "certify": ["numpy", "inspect"]}
+
+
+# v_tilde and v_tilde_single_mode on a piecewise state, in a fresh interpreter;
+# prints whether numpy was loaded after each call.
+V_TILDE_SCRIPT = """
+import sys
+from swlyap import PiecewiseConstantFn, SignalFamily, v_tilde, v_tilde_single_mode
+from swlyap.presets import blowup_transport_pair
+system = blowup_transport_pair()
+f = PiecewiseConstantFn.indicator(-1.0, 1.0, -0.25, 0.5)
+est = v_tilde(system, f, SignalFamily((0.5,), 1, (0, 1)), 2.0)
+after_v_tilde = "numpy" in sys.modules
+value = v_tilde_single_mode(system.modes[0], 1.0, f, 2.0)
+print(est.value > 0.0, value > 0.0, after_v_tilde, "numpy" in sys.modules)
+"""
+
+
+def test_v_tilde_on_a_piecewise_state_never_loads_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", V_TILDE_SCRIPT], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "False", "False"]

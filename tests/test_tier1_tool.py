@@ -93,3 +93,12 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     tool = _tool()
     assert tool.src_lines(tmp_path) == 3
     assert _summary(tmp_path, AS_DESIGNED)["src_lines"] == tool.src_lines() > 0
+
+
+def test_xfailed_tests_are_named_in_the_lines_and_the_json(tmp_path):
+    summary = _summary(tmp_path, AS_DESIGNED)
+    assert summary["xfails"] == ["tests.test_lyapunov.TestMatrixEnergy::test_miss"]
+    assert _summary(tmp_path, BROKEN)["xfails"] == []
+    lines = _tool().report(summary)
+    assert lines[3] == "xfailed: tests.test_lyapunov.TestMatrixEnergy::test_miss"
+    assert json.loads(lines[-1])["xfails"] == summary["xfails"]

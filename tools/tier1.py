@@ -4,11 +4,11 @@ Runs `python -m pytest -q --continue-on-collection-errors` from the repository
 root with `src` on PYTHONPATH (the tier-1 command of ROADMAP.md), writing a
 JUnit XML report to a temporary file, and prints the wall time, the counts of
 passed, failed, xfailed, skipped and errored tests, every failed or errored test,
-the 10 slowest tests, the line count of src/swlyap/*.py (the src count that
-ROADMAP.md tracks), and last a JSON line holding the same numbers.  Further
-arguments go to pytest.  Criterion 8 documents an unattainable rate and fails
-by design, so the exit status is 0 only when it is the one failure; any other
-failure or error, or a passing criterion 8, exits 1.
+the line count of src/swlyap/*.py (the src count that ROADMAP.md tracks), every
+xfailed test, the 10 slowest tests, and last a JSON line holding the same numbers
+and names.  Further arguments go to pytest.  Criterion 8 documents an
+unattainable rate and fails by design, so the exit status is 0 only when it is
+the one failure; any other failure or error, or a passing criterion 8, exits 1.
 
     python3 tools/tier1.py [PYTEST_ARGS...]
 """
@@ -33,10 +33,10 @@ def src_lines(root=ROOT):
 
 
 def summarize(junit_path, wall_s):
-    """The outcome counts, the failed tests and the slowest tests of a JUnit
+    """The outcome counts, the failed, xfailed and slowest tests of a JUnit
     report, with the current src line count."""
     counts = dict.fromkeys(("passed", "failed", "xfailed", "skipped", "errors"), 0)
-    failures, times = [], []
+    failures, xfails, times = [], [], []
     for case in ET.parse(junit_path).iter("testcase"):
         test = f"{case.get('classname')}::{case.get('name')}"
         times.append((float(case.get("time", 0.0)), test))
@@ -46,6 +46,8 @@ def summarize(junit_path, wall_s):
             failures.append(test)
         elif "skipped" in kinds:
             outcome = "xfailed" if kinds["skipped"].get("type") == "pytest.xfail" else "skipped"
+            if outcome == "xfailed":
+                xfails.append(test)
         else:
             outcome = "passed"
         counts[outcome] += 1
@@ -55,6 +57,7 @@ def summarize(junit_path, wall_s):
         "tests": sum(counts.values()),
         **counts,
         "failures": failures,
+        "xfails": xfails,
         "slowest": [[test, round(s, 2)] for s, test in slowest],
         "src_lines": src_lines(),
         "ok": failures == EXPECTED_FAILURES,
@@ -69,6 +72,7 @@ def report(summary):
     lines += [f"failed: {test}" + (" (by design)" if test in EXPECTED_FAILURES else "")
               for test in summary["failures"]]
     lines += [f"src: {summary['src_lines']} lines in src/swlyap/*.py"]
+    lines += [f"xfailed: {test}" for test in summary["xfails"]]
     lines += [f"slowest {len(summary['slowest'])}:"]
     lines += [f"  {s:6.2f} s  {test}" for test, s in summary["slowest"]]
     return lines + [json.dumps(summary, sort_keys=True)]
